@@ -1,8 +1,15 @@
-// Golden-file regression of the sweep CSV schema and values.
+// Golden-file regression of the sweep and campaign CSV schemas and values.
 //
-// A small-mesh sweep (assembly + phase-9 solve) is serialized through
-// core::write_csv and compared against the checked-in golden at
-// tests/golden/sweep_small.csv:
+// Two small workloads are serialized and compared against checked-in
+// goldens:
+//
+//   * tests/golden/sweep_small.csv — an assembly + phase-9 solve sweep
+//     through core::write_csv;
+//   * tests/golden/campaign_small.csv — a fault-tolerant transient
+//     campaign through core::write_campaign_csv, including a sharded
+//     sell+rcm point and a degraded retry row.
+//
+// For each golden:
 //
 //   * the SCHEMA (header row) must match byte for byte — any column
 //     addition/rename/reorder is a deliberate, reviewed change;
@@ -26,15 +33,16 @@
 #include <string>
 #include <vector>
 
+#include "core/campaign.h"
 #include "core/csv.h"
 #include "platforms/platforms.h"
+#include "sim/fault_injection.h"
 #include "sanitizer_support.h"
 
 namespace {
 
 using namespace vecfd;
 
-const char* kGoldenPath = VECFD_GOLDEN_FILE;
 
 /// The golden workload: small mesh, two VECTOR_SIZEs x two optimization
 /// levels, semi-implicit with the chained phase-9 solve, serial (jobs=1)
@@ -56,6 +64,44 @@ std::string generate_sweep_csv() {
   return os.str();
 }
 
+/// The campaign golden workload: {cavity, taylor-green} x {riscv-vec,
+/// riscv-vec-scalar} x VECTOR_SIZE 64, one step on a 3^3 mesh, serial.
+/// The taylor-green/riscv-vec point runs sharded (2 shards, sell+rcm);
+/// point 0 takes an injected breakdown and, with one retry, lands as a
+/// `degraded` row on the next rung of the ladder.
+std::string generate_campaign_csv() {
+  std::vector<miniapp::Scenario> scens = {
+      miniapp::scenario_by_name("cavity"),
+      miniapp::scenario_by_name("taylor-green")};
+  for (miniapp::Scenario& s : scens) s.mesh.nx = s.mesh.ny = s.mesh.nz = 3;
+  const core::Campaign camp(std::move(scens));
+  const sim::MachineConfig machines[] = {platforms::riscv_vec(),
+                                         platforms::riscv_vec_scalar()};
+  const int sizes[] = {64};
+  std::vector<core::CampaignPoint> points =
+      camp.grid(machines, sizes, /*steps=*/1);
+  points[2].shards = 2;
+  points[2].format = solver::SpmvFormat::kSell;
+  points[2].rcm_renumber = true;
+  sim::FaultPlan plan = sim::FaultPlan::parse("breakdown@0.0");
+  plan.materialize(static_cast<int>(points.size()), 1);
+  core::CampaignFtOptions opts;
+  opts.faults = &plan;
+  opts.retry.max_retries = 1;
+  const auto outcomes = camp.run_points_ft(points, opts, /*jobs=*/1);
+  std::ostringstream os;
+  core::write_campaign_csv(os, outcomes);
+  return os.str();
+}
+
+struct Golden {
+  const char* path;
+  std::string (*generate)();
+};
+
+const Golden kSweep{VECFD_GOLDEN_FILE, generate_sweep_csv};
+const Golden kCampaign{VECFD_CAMPAIGN_GOLDEN_FILE, generate_campaign_csv};
+
 std::vector<std::string> lines_of(const std::string& text) {
   std::vector<std::string> out;
   std::istringstream is(text);
@@ -72,22 +118,22 @@ std::vector<std::string> cells_of(const std::string& line) {
   return out;
 }
 
-std::string slurp_golden() {
-  std::ifstream is(kGoldenPath, std::ios::binary);
+std::string slurp_golden(const char* path) {
+  std::ifstream is(path, std::ios::binary);
   std::ostringstream os;
   os << is.rdbuf();
   return os.str();
 }
 
-TEST(GoldenCsv, GoldenFileExists) {
-  EXPECT_FALSE(slurp_golden().empty())
-      << "missing " << kGoldenPath
+void expect_golden_exists(const Golden& g) {
+  EXPECT_FALSE(slurp_golden(g.path).empty())
+      << "missing " << g.path
       << " — regenerate with: test_golden_csv --regen-golden";
 }
 
-TEST(GoldenCsv, SchemaIsByteStable) {
-  const auto fresh = lines_of(generate_sweep_csv());
-  const auto golden = lines_of(slurp_golden());
+void expect_schema_byte_stable(const Golden& g) {
+  const auto fresh = lines_of(g.generate());
+  const auto golden = lines_of(slurp_golden(g.path));
   ASSERT_FALSE(golden.empty());
   ASSERT_FALSE(fresh.empty());
   EXPECT_EQ(fresh[0], golden[0])
@@ -95,10 +141,9 @@ TEST(GoldenCsv, SchemaIsByteStable) {
          "--regen-golden and review the schema diff";
 }
 
-TEST(GoldenCsv, ValuesMatchWithinTolerance) {
-  VECFD_SKIP_UNDER_ASAN();
-  const auto fresh = lines_of(generate_sweep_csv());
-  const auto golden = lines_of(slurp_golden());
+void expect_values_within_tolerance(const Golden& g) {
+  const auto fresh = lines_of(g.generate());
+  const auto golden = lines_of(slurp_golden(g.path));
   ASSERT_EQ(fresh.size(), golden.size()) << "row count changed";
   for (std::size_t row = 1; row < golden.size(); ++row) {
     const auto got = cells_of(fresh[row]);
@@ -108,17 +153,37 @@ TEST(GoldenCsv, ValuesMatchWithinTolerance) {
       if (got[col] == want[col]) continue;  // fast path, incl. text cells
       char* end_g = nullptr;
       char* end_w = nullptr;
-      const double g = std::strtod(got[col].c_str(), &end_g);
-      const double w = std::strtod(want[col].c_str(), &end_w);
+      const double gv = std::strtod(got[col].c_str(), &end_g);
+      const double wv = std::strtod(want[col].c_str(), &end_w);
       const bool numeric = end_g != got[col].c_str() && *end_g == '\0' &&
                            end_w != want[col].c_str() && *end_w == '\0';
       ASSERT_TRUE(numeric) << "non-numeric mismatch at row " << row
                            << " col " << col << ": '" << got[col] << "' vs '"
                            << want[col] << "'";
-      EXPECT_NEAR(g, w, 1e-9 * (1.0 + std::abs(w)))
+      EXPECT_NEAR(gv, wv, 1e-9 * (1.0 + std::abs(wv)))
           << "row " << row << " col " << col;
     }
   }
+}
+
+TEST(GoldenCsv, GoldenFileExists) { expect_golden_exists(kSweep); }
+
+TEST(GoldenCsv, SchemaIsByteStable) { expect_schema_byte_stable(kSweep); }
+
+TEST(GoldenCsv, ValuesMatchWithinTolerance) {
+  VECFD_SKIP_UNDER_ASAN();
+  expect_values_within_tolerance(kSweep);
+}
+
+TEST(GoldenCampaignCsv, GoldenFileExists) { expect_golden_exists(kCampaign); }
+
+TEST(GoldenCampaignCsv, SchemaIsByteStable) {
+  expect_schema_byte_stable(kCampaign);
+}
+
+TEST(GoldenCampaignCsv, ValuesMatchWithinTolerance) {
+  VECFD_SKIP_UNDER_ASAN();
+  expect_values_within_tolerance(kCampaign);
 }
 
 }  // namespace
@@ -129,13 +194,15 @@ int main(int argc, char** argv) {
     if (std::string(argv[i]) == "--regen-golden") regen = true;
   }
   if (regen) {
-    std::ofstream os(kGoldenPath, std::ios::binary);
-    if (!os) {
-      std::fprintf(stderr, "cannot open %s\n", kGoldenPath);
-      return 1;
+    for (const Golden* g : {&kSweep, &kCampaign}) {
+      std::ofstream os(g->path, std::ios::binary);
+      if (!os) {
+        std::fprintf(stderr, "cannot open %s\n", g->path);
+        return 1;
+      }
+      os << g->generate();
+      std::printf("regenerated %s\n", g->path);
     }
-    os << generate_sweep_csv();
-    std::printf("regenerated %s\n", kGoldenPath);
     return 0;
   }
   ::testing::InitGoogleTest(&argc, argv);
