@@ -7,6 +7,7 @@
 // environment switches to a 960-element mesh for quick runs.
 #pragma once
 
+#include <climits>
 #include <cstdlib>
 #include <iostream>
 #include <memory>
@@ -41,10 +42,20 @@ inline constexpr int kVectorSizes[] = {16, 64, 128, 240, 256, 512};
 
 /// Worker threads for sweep fan-out: VECFD_BENCH_JOBS in the environment
 /// (unset/0 = all cores, 1 = serial).  Results are byte-identical at any
-/// job count; the knob exists for timing comparisons.
+/// job count; the knob exists for timing comparisons.  A value that is not
+/// a whole non-negative base-10 integer is named on stderr and exits 2,
+/// the vecfd-run --jobs contract.
 inline int sweep_jobs() {
   const char* e = std::getenv("VECFD_BENCH_JOBS");
-  return e != nullptr ? std::atoi(e) : 0;
+  if (e == nullptr) return 0;
+  char* end = nullptr;
+  const long v = std::strtol(e, &end, 10);
+  if (end == e || *end != '\0' || v < 0 || v > INT_MAX) {
+    std::cerr << "VECFD_BENCH_JOBS: invalid job count '" << e
+              << "' (want 0 = all cores, or a positive integer)\n";
+    std::exit(2);
+  }
+  return static_cast<int>(v);
 }
 
 /// The paper's full evaluation grid — kVectorSizes × {vanilla, VEC2, IVEC2,

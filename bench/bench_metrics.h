@@ -109,20 +109,11 @@ inline SlabComparison compare_slab_traffic(const SolveStats& pc,
 /// develops the flow so all momentum components have real work — the
 /// regime the multi-RHS comparison must run in; run() resets the machine,
 /// so the second pass is an independent measurement of a developed flow.
-inline SolveStats run_transient_point(
-    const fem::Mesh& mesh, const miniapp::Scenario& scen,
-    const sim::MachineConfig& machine, int vs, int steps, bool blocked,
-    solver::SpmvFormat format, bool rcm, bool spinup,
-    solver::PrecondKind precond = solver::PrecondKind::kJacobi,
-    int shards = 1) {
-  miniapp::TimeLoopConfig cfg;
-  cfg.steps = steps;
-  cfg.vector_size = vs;
-  cfg.blocked_momentum = blocked;
-  cfg.format = format;
-  cfg.rcm_renumber = rcm;
-  cfg.precond = precond;
-  cfg.shards = shards;
+inline SolveStats run_transient_point(const fem::Mesh& mesh,
+                                      const miniapp::Scenario& scen,
+                                      const sim::MachineConfig& machine,
+                                      const miniapp::TimeLoopConfig& cfg,
+                                      bool spinup) {
   miniapp::TimeLoop loop(mesh, scen, cfg);
   sim::Vpu vpu(machine);
   if (spinup) (void)loop.run(vpu);

@@ -35,10 +35,10 @@ vecfd::bench::SolveStats run_path(const vecfd::fem::Mesh& mesh,
                                   const vecfd::miniapp::Scenario& scen,
                                   int vs, int steps, bool blocked) {
   using namespace vecfd;
-  return bench::run_transient_point(mesh, scen, platforms::riscv_vec(), vs,
-                                    steps, blocked,
-                                    solver::SpmvFormat::kEll,
-                                    /*rcm=*/false, /*spinup=*/true);
+  return bench::run_transient_point(
+      mesh, scen, platforms::riscv_vec(),
+      {.steps = steps, .vector_size = vs, .blocked_momentum = blocked},
+      /*spinup=*/true);
 }
 
 }  // namespace

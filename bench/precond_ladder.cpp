@@ -104,8 +104,9 @@ int main() {
     for (const auto kind : kRungs) {
       formats_ok = formats_ok && histories_bit_identical(mesh, kind);
       const auto st = bench::run_transient_point(
-          mesh, scen, machine, vs, steps, /*blocked=*/true,
-          solver::SpmvFormat::kEll, /*rcm=*/false, /*spinup=*/false, kind);
+          mesh, scen, machine,
+          {.steps = steps, .vector_size = vs, .precond = kind},
+          /*spinup=*/false);
       if (kind == solver::PrecondKind::kJacobi) {
         jacobi_iters = st.pressure_iterations;
         jacobi_cycles = st.cycles_p10;

@@ -54,8 +54,10 @@ int main() {
       double ell_cycles = 0.0;
       for (const auto& c : bench::kFormatCases) {
         const auto st = bench::run_transient_point(
-            mesh, scen, machine, vs, steps, /*blocked=*/true, c.format,
-            c.rcm, /*spinup=*/false);
+            mesh, scen, machine,
+            {.steps = steps, .vector_size = vs, .format = c.format,
+             .rcm_renumber = c.rcm},
+            /*spinup=*/false);
         const double gl_it = st.gather_lines_per_iteration();
         const double cyc_it =
             st.solve_iterations() > 0

@@ -134,8 +134,10 @@ int main() {
                   "coalesced", "ph9 AVL"});
   for (const auto& fc : bench::kFormatCases) {
     const auto st = bench::run_transient_point(
-        camp.mesh(0), camp.scenarios()[0], platforms::riscv_vec(), vs_fmt,
-        steps, /*blocked=*/true, fc.format, fc.rcm, /*spinup=*/false);
+        camp.mesh(0), camp.scenarios()[0], platforms::riscv_vec(),
+        {.steps = steps, .vector_size = vs_fmt, .format = fc.format,
+         .rcm_renumber = fc.rcm},
+        /*spinup=*/false);
     ft.add_row({fc.name,
                 core::fmt(st.solve_iterations() > 0
                               ? st.solve_cycles() / st.solve_iterations()

@@ -94,26 +94,14 @@ CampaignRun Campaign::run(const CampaignPoint& point,
   }
   const miniapp::Scenario& scen =
       scenarios_[static_cast<std::size_t>(point.scenario)];
-  miniapp::TimeLoopConfig cfg;
-  cfg.steps = point.steps;
-  cfg.vector_size = point.vector_size;
-  cfg.opt = point.opt;
-  cfg.blocked_momentum = point.blocked_momentum;
-  cfg.format = point.format;
-  cfg.rcm_renumber = point.rcm_renumber;
-  cfg.precond = point.precond;
-  cfg.shards = point.shards;
-  cfg.checkpoint_every = extras.checkpoint_every;
-  cfg.fault = extras.fault;
-
-  miniapp::TimeLoop loop(mesh(point.scenario), scen, cfg);
+  miniapp::TimeLoop loop(mesh(point.scenario), scen, point);
   if (!extras.checkpoint_file.empty()) {
     const std::uint64_t hash = miniapp::timeloop_config_hash(
-        scen.name, mesh(point.scenario), cfg, point.machine);
+        scen.name, mesh(point.scenario), point, point.machine);
     if (extras.resume && file_exists(extras.checkpoint_file)) {
       loop.restore(miniapp::load_checkpoint(extras.checkpoint_file), hash);
     }
-    if (extras.checkpoint_every > 0) {
+    if (point.checkpoint_every > 0) {
       const std::string file = extras.checkpoint_file;
       loop.set_checkpoint_sink(
           hash, [file](const miniapp::TimeLoopCheckpoint& c) {
@@ -176,11 +164,16 @@ std::vector<CampaignOutcome> Campaign::run_points_ft(
   parallel_for_index_collect(points.size(), jobs, [&](std::size_t i) {
     CampaignOutcome& o = out[i];
     o.requested = points[i];
+    // Faults and checkpoints belong to attempt 0 only: retries are the
+    // recovery path and must run clean, and a degraded retry's config hash
+    // would make its checkpoint unloadable by a later --resume of the
+    // requested point.
     CampaignPoint current = points[i];
     const int point_index = static_cast<int>(i);
-    const sim::FaultSpec fault =
-        opts.faults != nullptr ? opts.faults->spec_for(point_index)
-                               : sim::FaultSpec{};
+    if (opts.faults != nullptr) {
+      current.fault = opts.faults->spec_for(point_index);
+    }
+    current.checkpoint_every = opts.checkpoint_every;
     const bool death =
         opts.faults != nullptr && opts.faults->worker_death(point_index);
 
@@ -193,12 +186,6 @@ std::vector<CampaignOutcome> Campaign::run_points_ft(
         }
         RunExtras extras;
         if (attempt == 0) {
-          // Faults and checkpoints belong to attempt 0 only: retries are
-          // the recovery path and must run clean, and a degraded retry's
-          // config hash would make its checkpoint unloadable by a later
-          // --resume of the requested point.
-          extras.fault = fault;
-          extras.checkpoint_every = opts.checkpoint_every;
           extras.resume = opts.resume;
           if (opts.checkpoint_every > 0 && !opts.checkpoint_dir.empty()) {
             extras.checkpoint_file = opts.checkpoint_dir + "/point_" +
@@ -230,6 +217,8 @@ std::vector<CampaignOutcome> Campaign::run_points_ft(
         return;
       }
       current = next;
+      current.fault = {};
+      current.checkpoint_every = 0;
       o.degraded = true;
     }
   });

@@ -23,30 +23,16 @@
 
 namespace vecfd::core {
 
-/// One transient campaign point: which scenario (index into the campaign's
-/// scenario list), which machine, and the loop shape.
-struct CampaignPoint {
+/// One transient campaign point: the loop knobs (every TimeLoopConfig
+/// field, defaults included), plus which scenario (index into the
+/// campaign's scenario list) and which machine.  Campaign::run hands the
+/// point to the TimeLoop as its config unchanged.  Fields and residual
+/// histories are bit-identical across shard counts, so per-point
+/// convergence columns (iterations, failures, divergence) are
+/// shard-invariant by contract (DESIGN.md §9).
+struct CampaignPoint : miniapp::TimeLoopConfig {
   int scenario = 0;
   sim::MachineConfig machine;
-  int vector_size = 240;
-  int steps = 5;
-  miniapp::OptLevel opt = miniapp::OptLevel::kVec1;
-  /// Phase-9 path (see TimeLoopConfig::blocked_momentum): true = fused
-  /// multi-RHS block solve, false = sequential per-component reference.
-  bool blocked_momentum = true;
-  /// Operator storage format of the instrumented solves (csr-host / ell /
-  /// sell — see TimeLoopConfig::format and DESIGN.md §6).
-  solver::SpmvFormat format = solver::SpmvFormat::kEll;
-  /// RCM solve-space renumbering (see TimeLoopConfig::rcm_renumber).
-  bool rcm_renumber = false;
-  /// Pressure preconditioner rung (see TimeLoopConfig::precond and the
-  /// ladder of solver/preconditioner.h; `vecfd-run --precond`).
-  solver::PrecondKind precond = solver::PrecondKind::kJacobi;
-  /// Pressure-solve shard count (see TimeLoopConfig::shards and DESIGN.md
-  /// §9; `vecfd-run --shards`).  Fields and residual histories are
-  /// bit-identical across shard counts, so per-point convergence columns
-  /// (iterations, failures, divergence) are shard-invariant by contract.
-  int shards = 1;
 };
 
 /// One executed campaign point: the full TimeLoopResult plus the §2.2
@@ -75,17 +61,11 @@ struct CampaignRun {
   }
 };
 
-/// Per-run robustness knobs threaded into one Campaign::run invocation:
-/// the planned fault (if any) and the checkpoint protocol.  The default
-/// object is inert — run(point) delegates with RunExtras{} and is
-/// bit-for-bit the historic behaviour.
+/// Per-run checkpoint sink threaded into one Campaign::run invocation.
+/// The cadence (checkpoint_every) and any planned fault live on the point
+/// itself.  The default object is inert — run(point) delegates with
+/// RunExtras{}.
 struct RunExtras {
-  /// Planned fault for this run (sim/fault_injection.h); fault.armed() ==
-  /// false means a clean run.
-  sim::FaultSpec fault{};
-  /// Epoch cadence forwarded to TimeLoopConfig::checkpoint_every (0 = the
-  /// historic no-checkpoint instruction stream).
-  int checkpoint_every = 0;
   /// Checkpoint file this run saves to (and resumes from, when `resume`).
   /// Empty = no sink even if checkpoint_every > 0 (epoch flushes still
   /// happen — the cadence, not the sink, defines the counter stream).
@@ -173,8 +153,7 @@ class Campaign {
   /// Run one point.
   CampaignRun run(const CampaignPoint& point) const;
 
-  /// Run one point with robustness extras: an injected fault and/or the
-  /// checkpoint/resume protocol (see RunExtras).
+  /// Run one point with a checkpoint sink and/or resume (see RunExtras).
   CampaignRun run(const CampaignPoint& point, const RunExtras& extras) const;
 
   /// Run every point, fanning out over @p jobs workers (0 = all cores,

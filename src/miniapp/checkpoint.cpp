@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
+#include <type_traits>
 
 #include "solver/krylov.h"
 
@@ -236,14 +237,89 @@ struct Fnv {
     }
   }
   void u64(std::uint64_t v) { bytes(&v, 8); }
-  void i(int v) { u64(static_cast<std::uint64_t>(static_cast<long>(v))); }
-  void b(bool v) { u64(v ? 1u : 0u); }
-  void f(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-  void str(const std::string& s) {
+
+  /// Mix scalar fields in order: strings by length and bytes, doubles by
+  /// bit pattern, bools, enums and integers widened to 64 bits.
+  template <class... T>
+  void add(const T&... v) {
+    (one(v), ...);
+  }
+
+ private:
+  void one(const std::string& s) {
     u64(s.size());
     bytes(s.data(), s.size());
   }
+  void one(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+  template <class T>
+    requires std::is_integral_v<T> || std::is_enum_v<T>
+  void one(T v) { u64(static_cast<std::uint64_t>(v)); }
 };
+
+// Every config struct the checkpoint contract depends on is read through a
+// structured binding that names ALL of its fields, so a member added to any
+// of them fails to compile here until it is hashed, or bound and skipped
+// with a one-line reason.
+
+void hash_fields(Fnv& h, const mem::CacheConfig& c) {
+  const auto& [size_bytes, line_bytes, associativity, name] = c;
+  h.add(size_bytes, line_bytes, associativity, name);
+}
+
+void hash_fields(Fnv& h, const mem::HierarchyConfig& c) {
+  const auto& [l1, l2, l1_latency, l2_latency, mem_latency] = c;
+  hash_fields(h, l1);
+  hash_fields(h, l2);
+  h.add(l1_latency, l2_latency, mem_latency);
+}
+
+void hash_fields(Fnv& h, const sim::MachineConfig& m) {
+  const auto& [name, frequency_mhz, vector_enabled, vlmax, lanes, fsm_group,
+               fsm_penalty, arith_startup, mem_startup, div_factor,
+               ctrl_factor, bytes_per_cycle, indexed_elems_per_cycle,
+               strided_elems_per_cycle, miss_overlap_unit,
+               miss_overlap_indexed, miss_overlap_strided, scalar_cpi,
+               scalar_mem_cpi, memory] = m;
+  h.add(name, frequency_mhz, vector_enabled, vlmax, lanes, fsm_group,
+        fsm_penalty, arith_startup, mem_startup, div_factor, ctrl_factor,
+        bytes_per_cycle, indexed_elems_per_cycle, strided_elems_per_cycle,
+        miss_overlap_unit, miss_overlap_indexed, miss_overlap_strided,
+        scalar_cpi, scalar_mem_cpi);
+  hash_fields(h, memory);
+}
+
+void hash_fields(Fnv& h, const fem::MeshConfig& c) {
+  const auto& [nx, ny, nz, lx, ly, lz, distortion, shuffle_nodes] = c;
+  h.add(nx, ny, nz, lx, ly, lz, distortion, shuffle_nodes);
+}
+
+void hash_fields(Fnv& h, const solver::PrecondOptions& p) {
+  const auto& [kind, cheby_degree, power_iterations, cheby_boost, cheby_ratio,
+               aggregates, coarse_max_iterations, coarse_rel_tolerance] = p;
+  h.add(kind, cheby_degree, power_iterations, cheby_boost, cheby_ratio,
+        coarse_max_iterations, coarse_rel_tolerance);
+  (void)aggregates;  // built by the TimeLoop from the hashed mesh and knobs
+}
+
+void hash_fields(Fnv& h, const solver::SolveOptions& o) {
+  const auto& [max_iterations, rel_tolerance, jacobi_precondition, precond,
+               inject_breakdown] = o;
+  h.add(max_iterations, rel_tolerance, jacobi_precondition);
+  hash_fields(h, precond);
+  (void)inject_breakdown;  // set per solve by the TimeLoop from cfg.fault
+}
+
+void hash_fields(Fnv& h, const TimeLoopConfig& c) {
+  const auto& [steps, vector_size, opt, momentum, pressure, blocked_momentum,
+               format, rcm_renumber, precond, shards, checkpoint_every,
+               fault] = c;
+  h.add(steps, vector_size, opt);
+  hash_fields(h, momentum);
+  hash_fields(h, pressure);
+  h.add(blocked_momentum, format, rcm_renumber, precond, shards,
+        checkpoint_every);
+  (void)fault;  // a one-shot rehearsal event of attempt 0, not the config
+}
 
 }  // namespace
 
@@ -383,40 +459,10 @@ std::uint64_t timeloop_config_hash(const std::string& scenario_name,
                                    const TimeLoopConfig& cfg,
                                    const sim::MachineConfig& machine) {
   Fnv h;
-  h.str(scenario_name);
-  h.i(mesh.config().nx);
-  h.i(mesh.config().ny);
-  h.i(mesh.config().nz);
-  h.i(mesh.num_nodes());
-  h.i(mesh.num_elements());
-
-  h.i(cfg.steps);
-  h.i(cfg.vector_size);
-  h.i(static_cast<int>(cfg.opt));
-  for (const solver::SolveOptions* so : {&cfg.momentum, &cfg.pressure}) {
-    h.i(so->max_iterations);
-    h.f(so->rel_tolerance);
-    h.b(so->jacobi_precondition);
-    h.i(static_cast<int>(so->precond.kind));
-    h.i(so->precond.cheby_degree);
-    h.i(so->precond.power_iterations);
-    h.f(so->precond.cheby_boost);
-    h.f(so->precond.cheby_ratio);
-    h.i(so->precond.coarse_max_iterations);
-    h.f(so->precond.coarse_rel_tolerance);
-  }
-  h.b(cfg.blocked_momentum);
-  h.i(static_cast<int>(cfg.format));
-  h.b(cfg.rcm_renumber);
-  h.i(static_cast<int>(cfg.precond));
-  h.i(cfg.shards);
-  h.i(cfg.checkpoint_every);
-
-  h.str(machine.name);
-  h.b(machine.vector_enabled);
-  h.i(machine.vlmax);
-  h.i(machine.lanes);
-  h.f(machine.frequency_mhz);
+  h.add(scenario_name);
+  hash_fields(h, mesh.config());
+  hash_fields(h, cfg);
+  hash_fields(h, machine);
   return h.h;
 }
 

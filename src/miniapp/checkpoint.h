@@ -115,10 +115,20 @@ TimeLoopCheckpoint load_checkpoint(const std::string& path);
 /// integrity check, exposed for tests.
 std::uint32_t crc32(const std::uint8_t* data, std::size_t len);
 
-/// FNV-1a digest of everything the bit-identity contract depends on: the
-/// scenario name, mesh shape, physics, the full TimeLoopConfig (including
-/// checkpoint_every — the epoch cadence changes the counter stream) and
-/// the machine model.  Campaign code computes it once per point and
+/// FNV-1a digest of the configuration a checkpoint was written under:
+///   * the scenario, by name only (its physics and fields are not hashed);
+///   * every MeshConfig field (shape, lengths, distortion, numbering);
+///   * every TimeLoopConfig field, with both SolveOptions and their
+///     PrecondOptions, including checkpoint_every (the epoch cadence
+///     changes the counter stream);
+///   * every MachineConfig field, with its HierarchyConfig and both
+///     CacheConfigs.
+/// Three fields are skipped, each with its reason in the source: the
+/// one-shot TimeLoopConfig::fault, SolveOptions::inject_breakdown (set per
+/// solve from the fault) and PrecondOptions::aggregates (built by the loop
+/// from the mesh).  Each struct is read through a structured binding that
+/// names all its fields, so a new field fails to compile until it is
+/// hashed or skipped.  Campaign code computes the digest once per point and
 /// threads it through save/restore opaquely.
 std::uint64_t timeloop_config_hash(const std::string& scenario_name,
                                    const fem::Mesh& mesh,

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "core/campaign.h"
 #include "fem/mesh.h"
 #include "miniapp/checkpoint.h"
 #include "miniapp/driver.h"
@@ -301,6 +302,42 @@ TEST(ConfigHash, SeparatesEveryKnob) {
     f.scen.name = "cavity2";
     EXPECT_NE(f.hash(), h0) << "scenario name";
   }
+  // Same-name machine variants, as bench/ablation_design_choices builds
+  // them: the name alone must not vouch for the model behind it.
+  {
+    HashFixture f;
+    f.machine.fsm_group = 1;
+    f.machine.fsm_penalty = 1.0;
+    EXPECT_NE(f.hash(), h0) << "FSM quirk off";
+  }
+  {
+    HashFixture f;
+    f.machine.memory.l2_latency = 0.0;
+    EXPECT_NE(f.hash(), h0) << "L2 latency";
+  }
+  {
+    HashFixture f;
+    f.machine.memory.l2.size_bytes /= 2;
+    EXPECT_NE(f.hash(), h0) << "L2 size";
+  }
+  // Same-shape meshes that number or place their nodes differently.
+  {
+    HashFixture f;
+    f.scen.mesh.shuffle_nodes = true;
+    f.mesh = fem::Mesh(f.scen.mesh);
+    EXPECT_NE(f.hash(), h0) << "shuffled mesh";
+  }
+  {
+    HashFixture f;
+    f.scen.mesh.distortion = 0.1;
+    f.mesh = fem::Mesh(f.scen.mesh);
+    EXPECT_NE(f.hash(), h0) << "mesh distortion";
+  }
+  {
+    HashFixture f;
+    f.cfg.pressure.precond.cheby_degree = 5;
+    EXPECT_NE(f.hash(), h0) << "pressure cheby degree";
+  }
 }
 
 TEST(ConfigHash, RestoreRefusesMismatch) {
@@ -318,6 +355,31 @@ TEST(ConfigHash, RestoreRefusesMismatch) {
   miniapp::TimeLoop fresh(f.mesh, f.scen, f.cfg);
   EXPECT_THROW(fresh.restore(ckpts.front(), f.hash() ^ 1), std::runtime_error);
   EXPECT_NO_THROW(fresh.restore(ckpts.front(), f.hash()));
+}
+
+TEST(ConfigHash, CampaignResumeRefusesSameNameMachineVariant) {
+  miniapp::Scenario scen = miniapp::scenario_by_name("cavity");
+  scen.mesh.nx = 4;
+  scen.mesh.ny = 4;
+  scen.mesh.nz = 3;
+  const core::Campaign campaign({scen});
+  core::CampaignPoint p;
+  p.machine = platforms::riscv_vec();
+  p.steps = 2;
+  p.checkpoint_every = 1;
+  const std::string file = scratch_path("machine_variant.ckpt");
+  std::remove(file.c_str());
+  (void)campaign.run(p, {.checkpoint_file = file});
+
+  core::CampaignPoint variant = p;
+  variant.machine.fsm_group = 1;  // still named "riscv-vec"
+  variant.machine.fsm_penalty = 1.0;
+  EXPECT_THROW(
+      (void)campaign.run(variant, {.checkpoint_file = file, .resume = true}),
+      std::runtime_error);
+  EXPECT_NO_THROW(
+      (void)campaign.run(p, {.checkpoint_file = file, .resume = true}));
+  std::remove(file.c_str());
 }
 
 // ---------------------------------------------------------------------------

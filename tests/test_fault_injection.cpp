@@ -135,7 +135,7 @@ TEST(FaultPlan, SeededPlansAreDeterministicAndGateLookups) {
 }
 
 // ---------------------------------------------------------------------------
-// in-run fault paths (through Campaign::run + RunExtras)
+// in-run fault paths (through Campaign::run and CampaignPoint::fault)
 // ---------------------------------------------------------------------------
 
 /// One-scenario campaign at test size.
@@ -155,17 +155,15 @@ CampaignPoint small_point() {
   return p;
 }
 
-RunExtras fault_extras(FaultKind kind, int step) {
-  RunExtras extras;
-  extras.fault.kind = kind;
-  extras.fault.step = step;
-  return extras;
+CampaignPoint faulted(CampaignPoint p, FaultKind kind, int step) {
+  p.fault = {.kind = kind, .step = step};
+  return p;
 }
 
 TEST(FaultInjection, BreakdownFailsThePressureSolveAtItsStep) {
   const Campaign campaign = small_campaign();
-  const core::CampaignRun run = campaign.run(
-      small_point(), fault_extras(FaultKind::kSolverBreakdown, 1));
+  const core::CampaignRun run =
+      campaign.run(faulted(small_point(), FaultKind::kSolverBreakdown, 1));
   ASSERT_EQ(run.loop.steps.size(), 3u);
   EXPECT_TRUE(run.loop.steps[0].pressure.failure.empty());
   EXPECT_NE(run.loop.steps[1].pressure.failure.find("injected"),
@@ -182,7 +180,7 @@ TEST(FaultInjection, BreakdownReachesShardedConfigsToo) {
   CampaignPoint p = small_point();
   p.shards = 4;
   const core::CampaignRun run =
-      campaign.run(p, fault_extras(FaultKind::kSolverBreakdown, 0));
+      campaign.run(faulted(p, FaultKind::kSolverBreakdown, 0));
   ASSERT_FALSE(run.loop.steps.empty());
   EXPECT_NE(run.loop.steps[0].pressure.failure.find("injected"),
             std::string::npos)
@@ -193,8 +191,8 @@ TEST(FaultInjection, BreakdownReachesShardedConfigsToo) {
 
 TEST(FaultInjection, ZeroDiagTripsEveryMomentumComponent) {
   const Campaign campaign = small_campaign();
-  const core::CampaignRun run = campaign.run(
-      small_point(), fault_extras(FaultKind::kZeroDiagonal, 1));
+  const core::CampaignRun run =
+      campaign.run(faulted(small_point(), FaultKind::kZeroDiagonal, 1));
   ASSERT_EQ(run.loop.steps.size(), 3u);
   for (int d = 0; d < fem::kDim; ++d) {
     EXPECT_TRUE(run.loop.steps[0]
@@ -212,7 +210,7 @@ TEST(FaultInjection, ZeroDiagTripsEveryMomentumComponent) {
 TEST(FaultInjection, NanRhsSurfacesInFinalDivergence) {
   const Campaign campaign = small_campaign();
   const core::CampaignRun run =
-      campaign.run(small_point(), fault_extras(FaultKind::kNanRhs, 1));
+      campaign.run(faulted(small_point(), FaultKind::kNanRhs, 1));
   EXPECT_FALSE(std::isfinite(run.final_divergence))
       << "a poisoned RHS must travel solve → correction → diagnostics, "
          "not be silently absorbed";

@@ -43,7 +43,6 @@ namespace {
 
 using namespace vecfd;
 
-
 /// The golden workload: small mesh, two VECTOR_SIZEs x two optimization
 /// levels, semi-implicit with the chained phase-9 solve, serial (jobs=1)
 /// so the golden never depends on the host's core count.
@@ -99,8 +98,9 @@ struct Golden {
   std::string (*generate)();
 };
 
-const Golden kSweep{VECFD_GOLDEN_FILE, generate_sweep_csv};
-const Golden kCampaign{VECFD_CAMPAIGN_GOLDEN_FILE, generate_campaign_csv};
+const Golden kSweep{VECFD_GOLDEN_DIR "/sweep_small.csv", generate_sweep_csv};
+const Golden kCampaign{VECFD_GOLDEN_DIR "/campaign_small.csv",
+                       generate_campaign_csv};
 
 std::vector<std::string> lines_of(const std::string& text) {
   std::vector<std::string> out;

@@ -65,11 +65,12 @@ Metrics measure_multirhs() {
   double worst_avl_drift = 0.0;
   for (const int vs : {64, 256}) {
     const auto pc = bench::run_transient_point(
-        mesh, scen, platforms::riscv_vec(), vs, steps, /*blocked=*/false,
-        solver::SpmvFormat::kEll, /*rcm=*/false, /*spinup=*/true);
+        mesh, scen, platforms::riscv_vec(),
+        {.steps = steps, .vector_size = vs, .blocked_momentum = false},
+        /*spinup=*/true);
     const auto blk = bench::run_transient_point(
-        mesh, scen, platforms::riscv_vec(), vs, steps, /*blocked=*/true,
-        solver::SpmvFormat::kEll, /*rcm=*/false, /*spinup=*/true);
+        mesh, scen, platforms::riscv_vec(),
+        {.steps = steps, .vector_size = vs}, /*spinup=*/true);
     // the same slab-accounting identity bench/multirhs_speedup prints
     const bench::SlabComparison cmp = bench::compare_slab_traffic(pc, blk);
     if (!cmp.valid) {
@@ -104,11 +105,13 @@ Metrics measure_format_sweep() {
   for (const auto& machine :
        {platforms::riscv_vec(), platforms::sx_aurora()}) {
     const auto ell = bench::run_transient_point(
-        mesh, scen, machine, vs, steps, /*blocked=*/true,
-        solver::SpmvFormat::kEll, /*rcm=*/false, /*spinup=*/false);
+        mesh, scen, machine, {.steps = steps, .vector_size = vs},
+        /*spinup=*/false);
     const auto sell_rcm = bench::run_transient_point(
-        mesh, scen, machine, vs, steps, /*blocked=*/true,
-        solver::SpmvFormat::kSell, /*rcm=*/true, /*spinup=*/false);
+        mesh, scen, machine,
+        {.steps = steps, .vector_size = vs,
+         .format = solver::SpmvFormat::kSell, .rcm_renumber = true},
+        /*spinup=*/false);
     const std::string tag = machine.name;
     m["gather_line_redux_" + tag] =
         ell.gather_lines_per_iteration() > 0.0
@@ -144,8 +147,9 @@ Metrics measure_precond_ladder() {
        {solver::PrecondKind::kJacobi, solver::PrecondKind::kCheby,
         solver::PrecondKind::kDeflate}) {
     const auto st = bench::run_transient_point(
-        mesh, scen, platforms::riscv_vec(), vs, steps, /*blocked=*/true,
-        solver::SpmvFormat::kEll, /*rcm=*/false, /*spinup=*/false, kind);
+        mesh, scen, platforms::riscv_vec(),
+        {.steps = steps, .vector_size = vs, .precond = kind},
+        /*spinup=*/false);
     const std::string tag = solver::to_string(kind);
     m["pressure_iters_" + tag] = st.pressure_iterations;
     m["pressure_cycles_" + tag] = st.cycles_p10;
@@ -173,9 +177,8 @@ Metrics measure_shard_scaling() {
   double base_makespan = 0.0;
   for (const int p : {1, 4, 8}) {
     const auto st = bench::run_transient_point(
-        mesh, scen, platforms::riscv_vec(), vs, steps, /*blocked=*/true,
-        solver::SpmvFormat::kEll, /*rcm=*/false, /*spinup=*/false,
-        solver::PrecondKind::kJacobi, p);
+        mesh, scen, platforms::riscv_vec(),
+        {.steps = steps, .vector_size = vs, .shards = p}, /*spinup=*/false);
     char tagbuf[16];
     std::snprintf(tagbuf, sizeof tagbuf, "p%d", p);
     const std::string tag = tagbuf;
@@ -198,9 +201,8 @@ Metrics measure_shard_scaling() {
     scen.mesh = {.nx = nref, .ny = nref, .nz = nref};
     const fem::Mesh rmesh(scen.mesh);
     const auto st = bench::run_transient_point(
-        rmesh, scen, platforms::riscv_vec(), 64, steps, /*blocked=*/true,
-        solver::SpmvFormat::kEll, /*rcm=*/false, /*spinup=*/false,
-        solver::PrecondKind::kJacobi, 4);
+        rmesh, scen, platforms::riscv_vec(),
+        {.steps = steps, .vector_size = 64, .shards = 4}, /*spinup=*/false);
     const std::string rtag = std::to_string(nref);
     m["s2v_ratio_" + rtag] =
         st.p10_gather_lines > 0

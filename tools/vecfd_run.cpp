@@ -29,6 +29,7 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -54,10 +55,11 @@ struct Options {
   std::string opt = "vec1";
   std::string scheme = "explicit";
   std::string format = "ell";
-  bool rcm = false;
   std::string precond = "jacobi";
-  int shards = 1;
-  int vs = 240;
+  /// The run's knobs: --steps, --vs, --rcm and --shards are parsed straight
+  /// into it, --opt, --format and --precond once main() has validated them.
+  /// A single transient run uses it as is; --sweep copies it per point.
+  miniapp::TimeLoopConfig loop;
   int jobs = 0;  ///< sweep worker threads; 0 = all cores, 1 = serial
   bool sweep = false;
   bool solve = false;
@@ -65,7 +67,7 @@ struct Options {
   bool mesh_set = false;    ///< --mesh given explicitly
   bool advise = false;
   bool remarks = false;
-  int steps = 0;  ///< > 0 switches to the transient time loop
+  bool steps_set = false;  ///< --steps given: switches to the transient loop
   std::optional<std::string> scenario;
   int nx = 16, ny = 20, nz = 24;
   std::optional<std::string> csv_path;
@@ -76,7 +78,7 @@ struct Options {
   int max_retries = 0;
   std::optional<std::string> fault_plan;
 
-  bool transient() const { return steps > 0 || scenario.has_value(); }
+  bool transient() const { return steps_set || scenario.has_value(); }
 };
 
 void usage(std::ostream& os) {
@@ -200,7 +202,7 @@ bool parse_args(int argc, char** argv, Options& opt) {
       if (!v) return fail(a, "missing value");
       opt.format = v;
     } else if (a == "--rcm") {
-      opt.rcm = true;
+      opt.loop.rcm_renumber = true;
     } else if (a == "--precond") {
       const char* v = next();
       if (!v) return fail(a, "missing value");
@@ -213,7 +215,7 @@ bool parse_args(int argc, char** argv, Options& opt) {
         return fail(a, "invalid shard count '" + std::string(v) +
                            "' (want a positive integer)");
       }
-      opt.shards = *n;
+      opt.loop.shards = *n;
     } else if (a == "--vs") {
       const char* v = next();
       if (!v) return fail(a, "missing value");
@@ -222,7 +224,7 @@ bool parse_args(int argc, char** argv, Options& opt) {
         return fail(a, "invalid VECTOR_SIZE '" + std::string(v) +
                            "' (want a positive integer)");
       }
-      opt.vs = *n;
+      opt.loop.vector_size = *n;
     } else if (a == "--jobs") {
       const char* v = next();
       if (!v) return fail(a, "missing value");
@@ -244,7 +246,8 @@ bool parse_args(int argc, char** argv, Options& opt) {
         return fail(a, "invalid step count '" + std::string(v) +
                            "' (want a positive integer)");
       }
-      opt.steps = *n;
+      opt.loop.steps = *n;
+      opt.steps_set = true;
     } else if (a == "--scenario") {
       const char* v = next();
       if (!v) return fail(a, "missing value");
@@ -356,19 +359,24 @@ void print_phase_row(core::Table& t, int p, double cycles, double share,
              core::fmt_pct(pm.mv), core::fmt(pm.avl, 1)});
 }
 
+/// The loop knobs of one point, e.g. "VEC1 / sell+rcm+cheby / shards=4 /
+/// VECTOR_SIZE=240 / steps=3" (rcm, a non-Jacobi rung and shards > 1 only
+/// when set).
+std::string describe(const miniapp::TimeLoopConfig& c) {
+  std::ostringstream d;
+  d << to_string(c.opt) << " / " << to_string(c.format)
+    << (c.rcm_renumber ? "+rcm" : "");
+  if (c.precond != solver::PrecondKind::kJacobi) {
+    d << '+' << solver::to_string(c.precond);
+  }
+  if (c.shards > 1) d << " / shards=" << c.shards;
+  d << " / VECTOR_SIZE=" << c.vector_size << " / steps=" << c.steps;
+  return d.str();
+}
+
 void print_campaign_run(const core::CampaignRun& r) {
   std::cout << r.scenario << " / " << r.point.machine.name << " / "
-            << to_string(r.point.opt) << " / "
-            << to_string(r.point.format)
-            << (r.point.rcm_renumber ? "+rcm" : "")
-            << (r.point.precond != solver::PrecondKind::kJacobi
-                    ? std::string("+") + solver::to_string(r.point.precond)
-                    : "")
-            << (r.point.shards > 1
-                    ? " / shards=" + std::to_string(r.point.shards)
-                    : "")
-            << " / VECTOR_SIZE=" << r.point.vector_size << " / steps="
-            << r.point.steps << '\n';
+            << describe(r.point) << '\n';
   std::cout << "  cycles=" << core::fmt(r.total_cycles, 0)
             << "  Mv=" << core::fmt_pct(r.overall.mv)
             << "  Av=" << core::fmt_pct(r.overall.av)
@@ -412,13 +420,8 @@ void print_campaign_outcome(std::size_t index,
     std::cout << "  retry ladder: " << o.attempts << " attempts, status "
               << o.final_status;
     if (o.degraded) {
-      std::cout << " (degraded from "
-                << solver::to_string(o.requested.precond)
-                << "/shards=" << o.requested.shards << '/'
-                << to_string(o.requested.format) << " to "
-                << solver::to_string(o.run.point.precond)
-                << "/shards=" << o.run.point.shards << '/'
-                << to_string(o.run.point.format) << ')';
+      std::cout << " (degraded from " << describe(o.requested) << " to "
+                << describe(o.run.point) << ')';
     }
     std::cout << '\n';
   }
@@ -427,10 +430,7 @@ void print_campaign_outcome(std::size_t index,
 /// The transient path: a single TimeLoop run, or (--sweep) the full
 /// campaign over scenario x platform x VECTOR_SIZE.
 int run_transient(const Options& opts, const sim::MachineConfig& machine,
-                  miniapp::OptLevel level, solver::SpmvFormat format,
                   sim::FaultPlan fault_plan) {
-  solver::PrecondKind precond = solver::PrecondKind::kJacobi;
-  solver::precond_from_string(opts.precond, precond);  // validated by caller
   std::vector<miniapp::Scenario> scens;
   if (opts.scenario || !opts.sweep) {
     const std::string name = opts.scenario.value_or("cavity");
@@ -452,30 +452,17 @@ int run_transient(const Options& opts, const sim::MachineConfig& machine,
   }
   const core::Campaign camp(std::move(scens));
 
-  std::vector<core::CampaignPoint> points;
+  std::vector<core::CampaignPoint> points = {{opts.loop, 0, machine}};
   if (opts.sweep) {
     const sim::MachineConfig machines[] = {
         platforms::riscv_vec(), platforms::riscv_vec_scalar(),
         platforms::sx_aurora(), platforms::mn4_avx512()};
-    points = camp.grid(machines, miniapp::kStudiedVectorSizes, opts.steps);
-    for (auto& p : points) {
-      p.opt = level;
-      p.format = format;
-      p.rcm_renumber = opts.rcm;
-      p.precond = precond;
-      p.shards = opts.shards;
+    points = camp.grid(machines, miniapp::kStudiedVectorSizes, opts.loop.steps);
+    for (core::CampaignPoint& p : points) {
+      miniapp::TimeLoopConfig knobs = opts.loop;
+      knobs.vector_size = p.vector_size;
+      p = {knobs, p.scenario, p.machine};
     }
-  } else {
-    core::CampaignPoint p;
-    p.machine = machine;
-    p.vector_size = opts.vs;
-    p.steps = opts.steps;
-    p.opt = level;
-    p.format = format;
-    p.rcm_renumber = opts.rcm;
-    p.precond = precond;
-    p.shards = opts.shards;
-    points.push_back(p);
   }
   if (opts.format == "auto") {
     // --format auto is a PER-MACHINE and PER-SHARD policy: each platform
@@ -506,7 +493,7 @@ int run_transient(const Options& opts, const sim::MachineConfig& machine,
   if (!fault_plan.empty()) {
     // Seeded plans draw their (kind, point, step) triples from the actual
     // campaign shape; explicit plans are validated against it.
-    fault_plan.materialize(static_cast<int>(points.size()), opts.steps);
+    fault_plan.materialize(static_cast<int>(points.size()), opts.loop.steps);
     ft.faults = &fault_plan;
   }
 
@@ -522,7 +509,7 @@ int run_transient(const Options& opts, const sim::MachineConfig& machine,
     miniapp::MiniAppConfig cfg;
     cfg.vector_size = points.front().vector_size;
     cfg.scheme = fem::Scheme::kSemiImplicit;
-    cfg.opt = level;
+    cfg.opt = opts.loop.opt;
     print_remarks(machine, cfg);
   }
 
@@ -585,8 +572,9 @@ int main(int argc, char** argv) {
     fail("--machine", "unknown machine '" + opts.machine + "'");
     return 2;
   }
-  const auto level = parse_opt(opts.opt);
-  if (!level) {
+  if (const auto level = parse_opt(opts.opt)) {
+    opts.loop.opt = *level;
+  } else {
     fail("--opt", "unknown optimization level '" + opts.opt + "'");
     return 2;
   }
@@ -602,34 +590,33 @@ int main(int argc, char** argv) {
                     "no matrix to solve)");
     return 2;
   }
-  solver::SpmvFormat format;
   if (opts.format == "auto") {
-    format = core::recommend_format(*machine);
+    opts.loop.format = core::recommend_format(*machine);
   } else if (const auto f = solver::format_from_string(opts.format)) {
-    format = *f;
+    opts.loop.format = *f;
   } else {
     fail("--format", "unknown format '" + opts.format +
                          "' (want csr, ell, sell or auto)");
     return 2;
   }
-  if (opts.rcm && !opts.transient()) {
+  if (opts.loop.rcm_renumber && !opts.transient()) {
     fail("--rcm", "requires a transient run (add --steps or --scenario; "
                   "the assembly sweep solves in assembly order)");
     return 2;
   }
-  solver::PrecondKind precond = solver::PrecondKind::kJacobi;
-  if (!solver::precond_from_string(opts.precond, precond)) {
+  if (!solver::precond_from_string(opts.precond, opts.loop.precond)) {
     fail("--precond", "unknown preconditioner '" + opts.precond +
                           "' (want jacobi, cheby or deflate)");
     return 2;
   }
-  if (precond != solver::PrecondKind::kJacobi && !opts.transient()) {
+  if (opts.loop.precond != solver::PrecondKind::kJacobi &&
+      !opts.transient()) {
     fail("--precond", "requires a transient run (add --steps or --scenario; "
                       "the ladder preconditions the phase-10 pressure "
                       "solve)");
     return 2;
   }
-  if (opts.shards != 1 && !opts.transient()) {
+  if (opts.loop.shards != 1 && !opts.transient()) {
     fail("--shards", "requires a transient run (add --steps or --scenario; "
                      "sharding decomposes the phase-10 pressure solve)");
     return 2;
@@ -698,7 +685,7 @@ int main(int argc, char** argv) {
       opts.scheme = "semi";  // the transient loop is semi-implicit
     }
     if (opts.scheme != "semi") {
-      fail(opts.steps > 0 ? "--steps" : "--scenario",
+      fail(opts.steps_set ? "--steps" : "--scenario",
            "requires --scheme semi (the transient loop assembles and solves "
            "the momentum matrix every step)");
       return 2;
@@ -716,9 +703,8 @@ int main(int argc, char** argv) {
       fail("--advise", "requires an assembly run (omit --steps/--scenario)");
       return 2;
     }
-    if (opts.steps == 0) opts.steps = 5;  // --scenario implies a short loop
-    return run_transient(opts, *machine, *level, format,
-                         std::move(fault_plan));
+    // --scenario alone runs TimeLoopConfig's default short loop
+    return run_transient(opts, *machine, std::move(fault_plan));
   }
 
   const fem::Mesh mesh({.nx = opts.nx, .ny = opts.ny, .nz = opts.nz});
@@ -726,18 +712,18 @@ int main(int argc, char** argv) {
   const core::Experiment ex(mesh, state);
 
   miniapp::MiniAppConfig cfg;
-  cfg.opt = *level;
+  cfg.opt = opts.loop.opt;
   cfg.scheme = opts.scheme == "semi" ? fem::Scheme::kSemiImplicit
                                      : fem::Scheme::kExplicit;
   cfg.run_solve = opts.solve;
-  cfg.solve_format = format;
+  cfg.solve_format = opts.loop.format;
 
   std::vector<core::Measurement> ms;
   if (opts.sweep) {
     ms = ex.sweep_grid(*machine, cfg, miniapp::kStudiedVectorSizes,
                        core::kSweepOptLevels, opts.jobs);
   } else {
-    cfg.vector_size = opts.vs;
+    cfg.vector_size = opts.loop.vector_size;
     ms.push_back(ex.run(*machine, cfg));
   }
 
