@@ -7,7 +7,10 @@
 //     through core::write_csv;
 //   * tests/golden/campaign_small.csv — a fault-tolerant transient
 //     campaign through core::write_campaign_csv, including a sharded
-//     sell+rcm point and a degraded retry row.
+//     sell+rcm point and a degraded retry row;
+//   * tests/golden/sharded_cg_counters.csv — every registered counter of
+//     each shard Vpu and of the coordinator, plus the BSP makespan, of a
+//     direct solver::ShardedCg solve at P ∈ {2, 4}.
 //
 // For each golden:
 //
@@ -16,6 +19,9 @@
 //   * the VALUES are tolerance-compared per cell (numeric cells within
 //     1e-9 relative, everything else exactly), so last-ulp timing noise
 //     across compilers doesn't flake while real counter regressions fail.
+//     The sharded counter golden is the exception: it pins the instruction
+//     stream and BSP epoch structure of the sharded solve, so its values
+//     (written at %.17g) must match bitwise.
 //
 // Updating the golden is deliberate: run the test binary with
 // `--regen-golden` and commit the rewritten file.
@@ -26,17 +32,26 @@
 // (see sanitizer_support.h); the schema check always runs.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/campaign.h"
 #include "core/csv.h"
+#include "fem/mesh.h"
+#include "fem/partition.h"
+#include "fem/projection.h"
+#include "fem/shape.h"
+#include "miniapp/time_loop.h"
 #include "platforms/platforms.h"
 #include "sim/fault_injection.h"
+#include "solver/sharding.h"
+#include "solver/vkernels.h"
 #include "sanitizer_support.h"
 
 namespace {
@@ -93,6 +108,62 @@ std::string generate_campaign_csv() {
   return os.str();
 }
 
+std::string format_cell(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+std::string format_cell(std::uint64_t v) { return std::to_string(v); }
+
+/// The sharded counter golden workload: a pinned 6^3 pressure Poisson
+/// system solved by solver::ShardedCg on riscv-vec at VECTOR_SIZE 64 for
+/// P ∈ {2, 4}.  One row per Vpu (shard 0..P-1, then the coordinator) with
+/// the solve's BSP makespan and every registered counter.
+std::string generate_sharded_counters_csv() {
+  const fem::Mesh mesh({.nx = 6, .ny = 6, .nz = 6});
+  solver::CsrMatrix a =
+      fem::assemble_pressure_laplacian(mesh, fem::ShapeTable{});
+  const std::vector<int> pins = {0};
+  fem::pin_dirichlet(a, pins);
+  std::vector<double> b(static_cast<std::size_t>(mesh.num_nodes()), 0.0);
+  for (std::size_t i = 1; i < b.size(); ++i) {
+    b[i] = 1.0 + 0.25 * std::sin(static_cast<double>(i));
+  }
+  const sim::MachineConfig machine = platforms::riscv_vec();
+  const int vs = 64;
+  const int quantum = solver::solve_effective_strip(vs, machine);
+
+  std::ostringstream os;
+  os << "shards,vpu,makespan_cycles";
+  sim::Counters::visit_fields(
+      [&](const sim::CounterInfo& info) { os << ',' << info.name; });
+  os << '\n';
+  for (const int shards : {2, 4}) {
+    fem::MeshPartition part = fem::partition_mesh(mesh, shards, quantum);
+    solver::ShardedCg scg(std::move(part.plan), a, machine, vs,
+                          miniapp::kPressurePhase);
+    sim::Vpu coord(machine);
+    std::vector<double> x(b.size(), 0.0);
+    {
+      sim::ScopedPhase scope(coord.profiler(), miniapp::kPressurePhase);
+      scg.solve(coord, b, x, solver::SolveOptions{});
+    }
+    const auto row = [&](const std::string& who, const sim::Vpu& vpu) {
+      os << shards << ',' << who << ',' << format_cell(scg.makespan_cycles());
+      vpu.counters().visit([&](const sim::CounterInfo&, const auto& v) {
+        os << ',' << format_cell(v);
+      });
+      os << '\n';
+    };
+    for (int p = 0; p < shards; ++p) {
+      row("shard" + std::to_string(p), scg.shard_vpu(p));
+    }
+    row("coord", coord);
+  }
+  return os.str();
+}
+
 struct Golden {
   const char* path;
   std::string (*generate)();
@@ -101,6 +172,8 @@ struct Golden {
 const Golden kSweep{VECFD_GOLDEN_DIR "/sweep_small.csv", generate_sweep_csv};
 const Golden kCampaign{VECFD_GOLDEN_DIR "/campaign_small.csv",
                        generate_campaign_csv};
+const Golden kShardedCounters{VECFD_GOLDEN_DIR "/sharded_cg_counters.csv",
+                              generate_sharded_counters_csv};
 
 std::vector<std::string> lines_of(const std::string& text) {
   std::vector<std::string> out;
@@ -166,6 +239,15 @@ void expect_values_within_tolerance(const Golden& g) {
   }
 }
 
+void expect_values_bitwise(const Golden& g) {
+  const auto fresh = lines_of(g.generate());
+  const auto golden = lines_of(slurp_golden(g.path));
+  ASSERT_EQ(fresh.size(), golden.size()) << "row count changed";
+  for (std::size_t row = 1; row < golden.size(); ++row) {
+    EXPECT_EQ(fresh[row], golden[row]) << "row " << row;
+  }
+}
+
 TEST(GoldenCsv, GoldenFileExists) { expect_golden_exists(kSweep); }
 
 TEST(GoldenCsv, SchemaIsByteStable) { expect_schema_byte_stable(kSweep); }
@@ -186,6 +268,19 @@ TEST(GoldenCampaignCsv, ValuesMatchWithinTolerance) {
   expect_values_within_tolerance(kCampaign);
 }
 
+TEST(GoldenShardedCounters, GoldenFileExists) {
+  expect_golden_exists(kShardedCounters);
+}
+
+TEST(GoldenShardedCounters, SchemaIsByteStable) {
+  expect_schema_byte_stable(kShardedCounters);
+}
+
+TEST(GoldenShardedCounters, ValuesMatchBitwise) {
+  VECFD_SKIP_UNDER_ASAN();
+  expect_values_bitwise(kShardedCounters);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -194,7 +289,7 @@ int main(int argc, char** argv) {
     if (std::string(argv[i]) == "--regen-golden") regen = true;
   }
   if (regen) {
-    for (const Golden* g : {&kSweep, &kCampaign}) {
+    for (const Golden* g : {&kSweep, &kCampaign, &kShardedCounters}) {
       std::ofstream os(g->path, std::ios::binary);
       if (!os) {
         std::fprintf(stderr, "cannot open %s\n", g->path);
