@@ -15,7 +15,9 @@
 //
 // P-independence is re-verified before measuring: fields and residual
 // histories of every sharded run are demanded bitwise equal to the P=1
-// legacy path (the contract of solver::ShardedCg).
+// single-Vpu path.  solver::ShardedCg runs vcg's own recurrence
+// (solver/cg_recurrence.h) on a sharded execution space, so this checks
+// the epochs, folds and halo exchange of that space.
 //
 // Acceptance (exit 1 on failure): on the strong-scaling mesh the P=8
 // makespan is at most HALF the P=1 phase-10 cycles, every field/history

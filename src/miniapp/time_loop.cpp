@@ -516,21 +516,21 @@ TimeLoopResult TimeLoop::run(sim::Vpu& vpu) {
       solver::vaxpy(vpu, -rho_dt, div, b_p, vs);  // b = −(ρ/Δt)·D u*
       for (int r : pressure_pins_) b_p[static_cast<std::size_t>(r)] = 0.0;
       std::fill(phi.begin(), phi.end(), 0.0);
+      // poisson_ was permuted once at construction; with rcm, b/φ are
+      // marshalled into solve order around the one solve below.
+      std::span<const double> b_solve = b_p;
+      std::span<double> phi_solve = phi;
       if (cfg_.rcm_renumber) {
-        // poisson_ was permuted once at construction; marshal b/φ around it
         to_solve_order(b_p, bp_p);
         std::fill(phi_p.begin(), phi_p.end(), 0.0);
-        rep.pressure =
-            use_sharded ? sharded->solve(vpu, bp_p, phi_p, popts)
-                        : solver::vcg(vpu, poisson_, bp_p, phi_p, popts,
-                                      vs, &pressure_ws, cfg_.format);
-        from_solve_order(phi_p, phi);
-      } else {
-        rep.pressure =
-            use_sharded ? sharded->solve(vpu, b_p, phi, popts)
-                        : solver::vcg(vpu, poisson_, b_p, phi, popts, vs,
-                                      &pressure_ws, cfg_.format);
+        b_solve = bp_p;
+        phi_solve = phi_p;
       }
+      rep.pressure = use_sharded
+                         ? sharded->solve(vpu, b_solve, phi_solve, popts)
+                         : solver::vcg(vpu, poisson_, b_solve, phi_solve,
+                                       popts, vs, &pressure_ws, cfg_.format);
+      if (cfg_.rcm_renumber) from_solve_order(phi_p, phi);
       res.all_converged &= rep.pressure.converged;
     }
 

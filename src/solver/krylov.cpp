@@ -4,7 +4,19 @@
 #include <stdexcept>
 #include <string>
 
+#include "solver/cg_recurrence.h"
+
 namespace vecfd::solver {
+
+namespace {
+/// Plain double arithmetic in the role of a Vpu's scalar unit, so the host
+/// solvers run the shared recurrences of solver/cg_recurrence.h.
+struct HostScalar {
+  double sdiv(double a, double b) const { return a / b; }
+  double smul(double a, double b) const { return a * b; }
+  double ssqrt(double v) const { return std::sqrt(v); }
+};
+}  // namespace
 
 SolveReport& checked(SolveReport& rep) {
   const bool len_ok =
@@ -30,6 +42,16 @@ std::vector<SolveReport>& checked(std::vector<SolveReport>& reps) {
   return reps;
 }
 
+void require_jacobi_rung(const SolveOptions& opts, const char* who) {
+  if (opts.jacobi_precondition &&
+      opts.precond.kind != PrecondKind::kJacobi) {
+    throw std::invalid_argument(
+        std::string(who) + ": preconditioner '" +
+        to_string(opts.precond.kind) +
+        "' is only available on the SPD vcg path (use vcg, or kJacobi)");
+  }
+}
+
 bool precond_from_string(std::string_view name, PrecondKind& out) {
   if (name == "jacobi") {
     out = PrecondKind::kJacobi;
@@ -53,26 +75,19 @@ double dot(std::span<const double> a, std::span<const double> b) {
 }
 
 double norm2(std::span<const double> a) {
-  const double s = dot(a, a);
-  if (s > kNormSumSqMin && s < kNormSumSqMax) {
-    return std::sqrt(s);  // common path: trustworthy one-pass sum
-  }
-  // Rare rescan: the sum overflowed (inf/NaN), underflowed toward the
-  // denormal range, or is 0 for a possibly-nonzero input.  Pick the scale
-  // ‖a‖∞ and evaluate m·sqrt(Σ(aᵢ/m)²).
-  double m = 0.0;
-  for (const double v : a) {
-    const double av = std::fabs(v);
-    if (av > m || std::isnan(av)) m = av;  // NaN-propagating max
-  }
-  if (m == 0.0) return 0.0;
-  if (std::isinf(m)) return m;  // an inf entry: the norm IS inf, not NaN
-  double ssq = 0.0;
-  for (const double v : a) {
-    const double q = v / m;
-    ssq += q * q;
-  }
-  return m * std::sqrt(ssq);
+  const auto abs_max = [&](auto&& max_into) {
+    for (const double v : a) max_into(std::fabs(v));
+  };
+  const auto scaled_sum_sq = [&](double m) {
+    double ssq = 0.0;
+    for (const double v : a) {
+      const double q = v / m;
+      ssq += q * q;
+    }
+    return ssq;
+  };
+  return norm2_rescan(
+      HostScalar{}, [&] { return dot(a, a); }, abs_max, scaled_sum_sq);
 }
 
 void axpy(double alpha, std::span<const double> x, std::span<double> y) {
@@ -112,39 +127,15 @@ void apply_precond(const std::vector<double>& dinv,
   }
 }
 
-/// Breakdown exit (see the contract in krylov.h): count the aborted
-/// iteration @p it, record the true relative residual of the current
-/// iterate so callers never see the misleading `residual == 0,
-/// converged == false` pair, and flag convergence if the breakdown happened
-/// because the residual is already below tolerance.  Keeps the
-/// `history.size() == iterations + 1` invariant on the breakdown path.
+/// Breakdown exit (record_breakdown) with the host residual of @p r.
 SolveReport& breakdown_exit(SolveReport& rep, int it,
                             std::span<const double> r, double bnorm,
                             double rel_tolerance) {
-  const double rel = norm2(r) / bnorm;
-  rep.iterations = it + 1;
-  rep.residual = rel;
-  rep.history.push_back(rel);
-  if (rel < rel_tolerance) rep.converged = true;
-  return checked(rep);
+  return checked(record_breakdown(rep, it, norm2(r) / bnorm, rel_tolerance));
 }
 
-/// The ladder beyond Jacobi lives in the instrumented SPD vcg path only
-/// (solver/preconditioner.h); the nonsymmetric host/bicgstab solvers reject
-/// the higher rungs loudly instead of silently running Jacobi.
-void require_jacobi_rung(const SolveOptions& opts, const char* who) {
-  if (opts.jacobi_precondition &&
-      opts.precond.kind != PrecondKind::kJacobi) {
-    throw std::invalid_argument(
-        std::string(who) + ": preconditioner '" +
-        to_string(opts.precond.kind) +
-        "' is only available on the SPD vcg path (use vcg, or kJacobi)");
-  }
-}
-
-/// Failure exit (see SolveReport::failure): the preconditioner could not
-/// be built, so the solve never ran.  x is the caller's iterate untouched;
-/// the contract still holds with history == {rel0} and iterations == 0.
+/// Failure exit (record_failure): the preconditioner could not be built,
+/// so the solve never ran.
 SolveReport& failure_exit(SolveReport& rep, const char* why,
                           const CsrMatrix& a, std::span<const double> b,
                           std::span<const double> x, double bnorm,
@@ -152,79 +143,66 @@ SolveReport& failure_exit(SolveReport& rep, const char* why,
   std::vector<double> r(b.size());
   a.spmv(x, r);
   for (std::size_t i = 0; i < b.size(); ++i) r[i] = b[i] - r[i];
-  const double rel0 = norm2(r) / bnorm;
-  rep.failure = why;
-  rep.iterations = 0;
-  rep.residual = rel0;
-  rep.history.assign(1, rel0);
-  rep.converged = rel0 < rel_tolerance;
-  return checked(rep);
+  return checked(record_failure(rep, why, norm2(r) / bnorm, rel_tolerance));
 }
+
+/// cg_recurrence's host space: plain loops over its own work vectors.
+struct HostSpace {
+  const CsrMatrix& a;
+  std::span<const double> b;
+  std::span<double> x;
+  std::vector<double> dinv{}, r{}, z{}, p{}, ap{};
+
+  HostScalar scalar() const { return {}; }
+  double norm2_b() const { return norm2(b); }
+  double norm2_r() const { return norm2(r); }
+  void zero_x() { std::fill(x.begin(), x.end(), 0.0); }
+
+  void prepare() {
+    for (std::vector<double>* v : {&r, &z, &p, &ap}) v->assign(b.size(), 0.0);
+  }
+
+  void setup_precond(const SolveOptions& opts) {
+    if (opts.jacobi_precondition) dinv = jacobi_inverse_diagonal(a);
+  }
+
+  void residual() {
+    a.spmv(x, r);
+    for (std::size_t i = 0; i < r.size(); ++i) r[i] = b[i] - r[i];
+  }
+
+  double precond(bool init) {
+    apply_precond(dinv, r, z);
+    if (init) p = z;
+    return dot(r, z);
+  }
+
+  double apply_p() {
+    a.spmv(p, ap);
+    return dot(p, ap);
+  }
+
+  void update_xr(double alpha) {
+    axpy(alpha, p, x);
+    axpy(-alpha, ap, r);
+  }
+
+  void update_p(double beta) {
+    for (std::size_t i = 0; i < p.size(); ++i) p[i] = z[i] + beta * p[i];
+  }
+
+  SolveReport finish(SolveReport& rep) const { return checked(rep); }
+};
 }  // namespace
 
 SolveReport cg(const CsrMatrix& a, std::span<const double> b,
                std::span<double> x, const SolveOptions& opts) {
-  const std::size_t n = b.size();
-  if (static_cast<int>(n) != a.rows() || x.size() != n) {
+  if (static_cast<int>(b.size()) != a.rows() || x.size() != b.size()) {
     throw std::invalid_argument("cg: dimension mismatch");
   }
   require_jacobi_rung(opts, "cg");
-  SolveReport rep;
-  const double bnorm = norm2(b);
-  if (bnorm == 0.0) {
-    std::fill(x.begin(), x.end(), 0.0);
-    rep.converged = true;
-    rep.history.push_back(0.0);
-    return checked(rep);
-  }
-  std::vector<double> dinv;
-  if (opts.jacobi_precondition) {
-    try {
-      dinv = jacobi_inverse_diagonal(a);
-    } catch (const std::runtime_error& e) {
-      return checked(
-          failure_exit(rep, e.what(), a, b, x, bnorm, opts.rel_tolerance));
-    }
-  }
-
-  std::vector<double> r(n), z(n), p(n), ap(n);
-  a.spmv(x, r);
-  for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - r[i];
-  const double rel0 = norm2(r) / bnorm;
-  rep.residual = rel0;
-  rep.history.push_back(rel0);
-  if (rel0 < opts.rel_tolerance) {
-    rep.converged = true;
-    return checked(rep);
-  }
-  apply_precond(dinv, r, z);
-  p = z;
-  double rz = dot(r, z);
-
-  for (int it = 0; it < opts.max_iterations; ++it) {
-    a.spmv(p, ap);
-    const double pap = dot(p, ap);
-    if (pap == 0.0) {
-      return checked(breakdown_exit(rep, it, r, bnorm, opts.rel_tolerance));
-    }
-    const double alpha = rz / pap;
-    axpy(alpha, p, x);
-    axpy(-alpha, ap, r);
-    const double rel = norm2(r) / bnorm;
-    rep.history.push_back(rel);
-    rep.iterations = it + 1;
-    rep.residual = rel;
-    if (rel < opts.rel_tolerance) {
-      rep.converged = true;
-      return checked(rep);
-    }
-    apply_precond(dinv, r, z);
-    const double rz_new = dot(r, z);
-    const double beta = rz_new / rz;
-    rz = rz_new;
-    for (std::size_t i = 0; i < n; ++i) p[i] = z[i] + beta * p[i];
-  }
-  return checked(rep);
+  HostSpace sp{a, b, x};
+  return cg_recurrence(sp, opts);
 }
 
 SolveReport bicgstab(const CsrMatrix& a, std::span<const double> b,

@@ -74,11 +74,11 @@ struct SolveOptions {
   bool jacobi_precondition = true;
   /// Which ladder rung to run when preconditioning is enabled.
   PrecondOptions precond;
-  /// Deterministic fault hook (sim/fault_injection.h): when set, the
-  /// instrumented vcg fails immediately through its regular failure exit —
-  /// same instrumented true-residual path a genuine Krylov breakdown takes
-  /// — so campaigns can rehearse the retry ladder on demand.  Never set by
-  /// production configs.
+  /// Deterministic fault hook (sim/fault_injection.h): when set, the CG
+  /// recurrence (cg, vcg and ShardedCg alike) fails immediately through
+  /// its regular failure exit — the same true-residual path a genuine
+  /// Krylov breakdown takes — so campaigns can rehearse the retry ladder
+  /// on demand.  Never set by production configs.
   bool inject_breakdown = false;
 };
 
@@ -133,6 +133,12 @@ SolveReport& checked(SolveReport& rep);
 
 /// Per-column gate for the multi-RHS producers.
 std::vector<SolveReport>& checked(std::vector<SolveReport>& reps);
+
+/// The ladder beyond Jacobi lives in the SPD vcg path only
+/// (solver/preconditioner.h); every other solver calls this to reject the
+/// higher rungs loudly instead of silently running Jacobi.
+/// @throws std::invalid_argument naming @p who and the rejected rung.
+void require_jacobi_rung(const SolveOptions& opts, const char* who);
 
 /// Conjugate gradients — for symmetric positive-definite systems (e.g. the
 /// pressure Poisson operator or the pure-viscous momentum matrix).

@@ -5,7 +5,7 @@
 #include <stdexcept>
 
 #include "core/parallel.h"
-#include "solver/vkernels.h"
+#include "solver/cg_recurrence.h"
 
 namespace vecfd::solver {
 
@@ -83,9 +83,9 @@ ShardedCg::ShardedCg(ShardPlan plan, const CsrMatrix& a,
   for (int p = 0; p < plan_.shards; ++p) {
     Shard& sh = shards_[static_cast<std::size_t>(p)];
     sh.vpu = std::make_unique<sim::Vpu>(machine, num_phases);
-    sh.rows = plan_.num_owned(p);
+    const int owned = plan_.num_owned(p);
     const int base = plan_.bounds[static_cast<std::size_t>(p)];
-    const std::size_t rows = static_cast<std::size_t>(sh.rows);
+    const std::size_t rows = static_cast<std::size_t>(owned);
     const std::size_t lsize = static_cast<std::size_t>(plan_.local_size(p));
     sh.x.assign(lsize, 0.0);
     sh.p.assign(lsize, 0.0);
@@ -94,32 +94,11 @@ ShardedCg::ShardedCg(ShardPlan plan, const CsrMatrix& a,
     sh.z.assign(rows, 0.0);
     sh.ap.assign(rows, 0.0);
     sh.dinv.assign(dinv_global.begin() + base,
-                   dinv_global.begin() + base + sh.rows);
+                   dinv_global.begin() + base + owned);
     sh.partials.reserve(rows == 0 ? 0 : (rows - 1) / strip_ + 1);
-
-    sh.width = 0;
-    for (int r = 0; r < sh.rows; ++r) {
-      sh.width = std::max(
-          sh.width, static_cast<int>(a.row_cols(base + r).size()));
-    }
-    const std::size_t cells = static_cast<std::size_t>(sh.width) * rows;
-    sh.ell_vals.assign(cells, 0.0);
-    sh.ell_cols.assign(cells, -1);  // masked pads, exact fma no-ops
-    for (int r = 0; r < sh.rows; ++r) {
-      const auto cs = a.row_cols(base + r);
-      const auto vs = a.row_vals(base + r);
-      for (std::size_t j = 0; j < cs.size(); ++j) {
-        const int lc = plan_.local_index(p, cs[j]);
-        if (lc < 0) {
-          throw std::invalid_argument(
-              "ShardedCg: matrix column outside the plan's overlap-1 ghost "
-              "closure");
-        }
-        const std::size_t k = j * rows + static_cast<std::size_t>(r);
-        sh.ell_vals[k] = vs[j];
-        sh.ell_cols[k] = lc;
-      }
-    }
+    // Throws std::invalid_argument on a column outside the ghost closure.
+    sh.a.assign(a, base, base + owned, plan_.local_size(p),
+                [&](int g) { return plan_.local_index(p, g); });
 
     // Ghosts are sorted by global id and ownership ranges ascend, so each
     // owner's contribution is one contiguous run of the ghost list.
@@ -129,7 +108,7 @@ ShardedCg::ShardedCg(ShardPlan plan, const CsrMatrix& a,
       const int owner = plan_.owner(gh[i]);
       sim::HaloBlock blk;
       blk.src_shard = owner;
-      blk.dst_begin = sh.rows + static_cast<int>(i);
+      blk.dst_begin = owned + static_cast<int>(i);
       const int src_base = plan_.bounds[static_cast<std::size_t>(owner)];
       while (i < gh.size() && plan_.owner(gh[i]) == owner) {
         blk.src_local.push_back(gh[i] - src_base);
@@ -150,146 +129,185 @@ void ShardedCg::reset() {
   makespan_ = 0.0;
 }
 
-void ShardedCg::sync_epoch() {
-  double mx = 0.0;
-  for (std::size_t p = 0; p < shards_.size(); ++p) {
-    const double now = shards_[p].vpu->counters().total_cycles();
-    const double delta = now - epoch_last_[p];
-    epoch_last_[p] = now;
-    if (delta > mx) mx = delta;
+/// cg_recurrence's sharded execution space.  Every vector operation is one
+/// BSP epoch over the shard Vpus (owned rows only; x and p carry ghost
+/// slots); reductions record raw per-strip partials on the shards and fold
+/// them on the coordinator in global strip order; ghosts are refreshed
+/// through HaloExchange before every operator application.
+struct ShardedCg::Space {
+  ShardedCg& cg;
+  sim::Vpu& coord;
+  std::span<double> x;
+  const double coord0;  ///< coordinator cycles at solve entry
+
+  sim::Vpu& scalar() { return coord; }
+  double norm2_b() { return norm2(&Shard::b); }
+  double norm2_r() { return norm2(&Shard::r); }
+
+  void zero_x() {
+    epoch([&](Shard& sh, sim::Vpu& vpu) {
+      vfill(vpu, owned(sh, sh.x), 0.0, cg.strip_);
+    });
   }
-  makespan_ += mx;
-}
 
-template <class Fn>
-void ShardedCg::for_shards(Fn&& fn) {
-  core::parallel_for_index(
-      shards_.size(), static_cast<int>(shards_.size()),
-      [&](std::size_t p) { fn(static_cast<int>(p)); });
-  sync_epoch();
-}
+  // Shard vectors and Jacobi slices are built once, in the constructor.
+  void prepare() {}
+  void setup_precond(const SolveOptions&) {}
 
-double ShardedCg::fold_sum(sim::Vpu& coord) const {
-  // Global strip order: shard partial lists concatenate in shard order
-  // because ownership ranges ascend — the exact sadd recurrence of vdot.
-  double s = 0.0;
-  for (const Shard& sh : shards_) {
-    for (const double part : sh.partials) s = coord.sadd(s, part);
+  void residual() {
+    exchange_into(&Shard::x);
+    epoch([&](Shard& sh, sim::Vpu& vpu) {
+      vspmv(vpu, sh.a, sh.x, sh.ap, cg.strip_);
+      vsub(vpu, sh.b, sh.ap, sh.r, cg.strip_);
+    });
   }
-  return s;
-}
 
-double ShardedCg::fold_max() const {
-  // NaN-sticky running max over the global strip sequence, mirroring the
-  // vnorm2 rescan combine (host-side there too — no instruction charged).
-  double m = 0.0;
-  for (const Shard& sh : shards_) {
-    for (const double sm : sh.partials) {
-      if (sm > m || std::isnan(sm)) m = sm;
+  double precond(bool init) {
+    epoch([&](Shard& sh, sim::Vpu& vpu) {
+      vjacobi_apply(vpu, sh.dinv, sh.r, sh.z, cg.strip_);
+      if (init) vcopy(vpu, sh.z, owned(sh, sh.p), cg.strip_);
+    });
+    epoch([&](Shard& sh, sim::Vpu& vpu) {
+      dot_partials(sh, vpu, sh.r, sh.z);
+    });
+    return fold_sum();
+  }
+
+  double apply_p() {
+    exchange_into(&Shard::p);
+    epoch([&](Shard& sh, sim::Vpu& vpu) {
+      vspmv(vpu, sh.a, sh.p, sh.ap, cg.strip_);
+      dot_partials(sh, vpu, sh.p, sh.ap);
+    });
+    return fold_sum();
+  }
+
+  void update_xr(double alpha) {
+    epoch([&](Shard& sh, sim::Vpu& vpu) {
+      vaxpy(vpu, alpha, owned(sh, sh.p), owned(sh, sh.x), cg.strip_);
+      vaxpy(vpu, -alpha, sh.ap, sh.r, cg.strip_);
+    });
+  }
+
+  void update_p(double beta) {
+    epoch([&](Shard& sh, sim::Vpu& vpu) {
+      vxpby(vpu, sh.z, beta, owned(sh, sh.p), cg.strip_);
+    });
+  }
+
+  /// Gather owned x back to the caller; the coordinator's cycles join the
+  /// makespan (they are serial by construction).
+  SolveReport finish(SolveReport& rep) {
+    for (std::size_t p = 0; p < cg.shards_.size(); ++p) {
+      const Shard& sh = cg.shards_[p];
+      std::copy(sh.x.begin(), sh.x.begin() + sh.a.rows(),
+                x.begin() + cg.plan_.bounds[p]);
+    }
+    cg.makespan_ += coord.counters().total_cycles() - coord0;
+    return checked(rep);
+  }
+
+  static std::span<double> owned(const Shard& sh, std::vector<double>& v) {
+    return std::span<double>(v).first(static_cast<std::size_t>(sh.a.rows()));
+  }
+
+  /// One BSP epoch: fn(shard, vpu) on every shard in parallel inside the
+  /// solve phase, then the slowest shard's cycle delta joins the makespan.
+  template <class Fn>
+  void epoch(Fn&& fn) {
+    std::vector<Shard>& shards = cg.shards_;
+    core::parallel_for_index(
+        shards.size(), static_cast<int>(shards.size()), [&](std::size_t p) {
+          sim::Vpu& vpu = *shards[p].vpu;
+          sim::ScopedPhase scope(vpu.profiler(), cg.phase_);
+          fn(shards[p], vpu);
+        });
+    double mx = 0.0;
+    for (std::size_t p = 0; p < shards.size(); ++p) {
+      const double now = shards[p].vpu->counters().total_cycles();
+      mx = std::max(mx, now - cg.epoch_last_[p]);
+      cg.epoch_last_[p] = now;
+    }
+    cg.makespan_ += mx;
+  }
+
+  /// Raw per-strip partials of one shard's owned rows; strip(i) issues the
+  /// reduction of the strip starting at i.
+  template <class Strip>
+  void partials(Shard& sh, sim::Vpu& vpu, Strip&& strip) {
+    sh.partials.clear();
+    for_strips(vpu, sh.a.rows(), cg.strip_,
+               [&](int i, int) { sh.partials.push_back(strip(i)); });
+  }
+
+  void dot_partials(Shard& sh, sim::Vpu& vpu, const std::vector<double>& a,
+                    const std::vector<double>& b) {
+    partials(sh, vpu, [&](int i) {
+      const sim::Vec va = vpu.vload(a.data() + i);
+      const sim::Vec vb = vpu.vload(b.data() + i);
+      return vpu.vredsum(vpu.vmul(va, vb));
+    });
+  }
+
+  /// Global-strip-order sadd fold: shard partial lists concatenate in
+  /// shard order because ownership ranges ascend — vdot's exact recurrence.
+  double fold_sum() {
+    double s = 0.0;
+    for (const Shard& sh : cg.shards_) {
+      for (const double part : sh.partials) s = coord.sadd(s, part);
+    }
+    return s;
+  }
+
+  /// vnorm2 split over the shards' owned slices of @p v.
+  double norm2(std::vector<double> Shard::*v) {
+    const auto sum_sq = [&] {
+      epoch([&](Shard& sh, sim::Vpu& vpu) {
+        dot_partials(sh, vpu, sh.*v, sh.*v);
+      });
+      return fold_sum();
+    };
+    const auto abs_max = [&](auto&& max_into) {
+      epoch([&](Shard& sh, sim::Vpu& vpu) {
+        partials(sh, vpu, [&](int i) {
+          const double sm =
+              vpu.vredmax(vpu.vabs(vpu.vload((sh.*v).data() + i)));
+          vpu.sarith(1);  // running-max combine, as in vnorm2
+          return sm;
+        });
+      });
+      // The combine runs over the global strip sequence, host-side as in
+      // vnorm2 (no instruction charged).
+      for (const Shard& sh : cg.shards_) {
+        for (const double sm : sh.partials) max_into(sm);
+      }
+    };
+    const auto scaled_sum_sq = [&](double m) {
+      epoch([&](Shard& sh, sim::Vpu& vpu) {
+        partials(sh, vpu, [&](int i) {
+          const sim::Vec q =
+              vpu.vdiv(vpu.vload((sh.*v).data() + i), vpu.vsplat(m));
+          return vpu.vredsum(vpu.vmul(q, q));
+        });
+      });
+      return fold_sum();
+    };
+    return norm2_rescan(coord, sum_sq, abs_max, scaled_sum_sq);
+  }
+
+  /// Refresh the ghost slots of every shard's @p vec from their owners.
+  void exchange_into(std::vector<double> Shard::*vec) {
+    for (std::size_t p = 0; p < cg.shards_.size(); ++p) {
+      cg.vpu_ptrs_[p] = cg.shards_[p].vpu.get();
+      cg.local_ptrs_[p] = (cg.shards_[p].*vec).data();
+      cg.vpu_ptrs_[p]->profiler().begin(cg.phase_);
+    }
+    cg.halo_->exchange(cg.vpu_ptrs_, cg.local_ptrs_);
+    for (std::size_t p = 0; p < cg.shards_.size(); ++p) {
+      cg.vpu_ptrs_[p]->profiler().end(cg.phase_);
     }
   }
-  return m;
-}
-
-void ShardedCg::seg_dot_partials(int p, const double* a, const double* bb,
-                                 int n) {
-  Shard& sh = shards_[static_cast<std::size_t>(p)];
-  sim::Vpu& vpu = *sh.vpu;
-  sim::ScopedPhase scope(vpu.profiler(), phase_);
-  sh.partials.clear();
-  for_strips(vpu, n, strip_, [&](int i, int) {
-    const sim::Vec va = vpu.vload(a + i);
-    const sim::Vec vb = vpu.vload(bb + i);
-    sh.partials.push_back(vpu.vredsum(vpu.vmul(va, vb)));
-  });
-}
-
-void ShardedCg::seg_max_partials(int p, const double* a, int n) {
-  Shard& sh = shards_[static_cast<std::size_t>(p)];
-  sim::Vpu& vpu = *sh.vpu;
-  sim::ScopedPhase scope(vpu.profiler(), phase_);
-  sh.partials.clear();
-  for_strips(vpu, n, strip_, [&](int i, int) {
-    sh.partials.push_back(vpu.vredmax(vpu.vabs(vpu.vload(a + i))));
-    vpu.sarith(1);  // running-max combine, as in the vnorm2 rescan
-  });
-}
-
-void ShardedCg::seg_scaled_partials(int p, const double* a, int n, double m) {
-  Shard& sh = shards_[static_cast<std::size_t>(p)];
-  sim::Vpu& vpu = *sh.vpu;
-  sim::ScopedPhase scope(vpu.profiler(), phase_);
-  sh.partials.clear();
-  for_strips(vpu, n, strip_, [&](int i, int) {
-    const sim::Vec q = vpu.vdiv(vpu.vload(a + i), vpu.vsplat(m));
-    sh.partials.push_back(vpu.vredsum(vpu.vmul(q, q)));
-  });
-}
-
-void ShardedCg::seg_spmv(int p, const double* xloc, double* yloc) {
-  Shard& sh = shards_[static_cast<std::size_t>(p)];
-  sim::Vpu& vpu = *sh.vpu;
-  sim::ScopedPhase scope(vpu.profiler(), phase_);
-  const std::size_t rows = static_cast<std::size_t>(sh.rows);
-  for_strips(vpu, sh.rows, strip_, [&](int i, int) {
-    sim::Vec acc = vpu.vsplat(0.0);
-    for (int j = 0; j < sh.width; ++j) {
-      const std::size_t k =
-          static_cast<std::size_t>(j) * rows + static_cast<std::size_t>(i);
-      const sim::Vec vv = vpu.vload(sh.ell_vals.data() + k);
-      const sim::Vec idx = vpu.vload_i32(sh.ell_cols.data() + k);
-      const sim::Vec xs = vpu.vgather(xloc, idx);
-      acc = vpu.vfma(vv, xs, acc);
-      vpu.sarith(1);  // slab-loop control
-    }
-    vpu.vstore(yloc + i, acc);
-  });
-}
-
-template <class Get>
-double ShardedCg::sharded_norm2(sim::Vpu& coord, Get&& get) {
-  for_shards([&](int p) {
-    seg_dot_partials(p, get(p), get(p),
-                     shards_[static_cast<std::size_t>(p)].rows);
-  });
-  const double s = fold_sum(coord);
-  if (s > kNormSumSqMin && s < kNormSumSqMax) {
-    return coord.ssqrt(s);
-  }
-  for_shards([&](int p) {
-    seg_max_partials(p, get(p), shards_[static_cast<std::size_t>(p)].rows);
-  });
-  const double m = fold_max();
-  if (m == 0.0) return 0.0;
-  if (std::isinf(m)) return m;
-  for_shards([&](int p) {
-    seg_scaled_partials(p, get(p),
-                        shards_[static_cast<std::size_t>(p)].rows, m);
-  });
-  const double ssq = fold_sum(coord);
-  return coord.smul(m, coord.ssqrt(ssq));
-}
-
-template <class Get, class GetB>
-double ShardedCg::sharded_dot(sim::Vpu& coord, Get&& get_a, GetB&& get_b) {
-  for_shards([&](int p) {
-    seg_dot_partials(p, get_a(p), get_b(p),
-                     shards_[static_cast<std::size_t>(p)].rows);
-  });
-  return fold_sum(coord);
-}
-
-void ShardedCg::exchange_into(std::vector<double> Shard::*vec) {
-  for (std::size_t p = 0; p < shards_.size(); ++p) {
-    vpu_ptrs_[p] = shards_[p].vpu.get();
-    local_ptrs_[p] = (shards_[p].*vec).data();
-    vpu_ptrs_[p]->profiler().begin(phase_);
-  }
-  halo_->exchange(vpu_ptrs_, local_ptrs_);
-  for (std::size_t p = 0; p < shards_.size(); ++p) {
-    vpu_ptrs_[p]->profiler().end(phase_);
-  }
-}
+};
 
 SolveReport ShardedCg::solve(sim::Vpu& coord, std::span<const double> b,
                              std::span<double> x, const SolveOptions& opts) {
@@ -303,143 +321,16 @@ SolveReport ShardedCg::solve(sim::Vpu& coord, std::span<const double> b,
         "ShardedCg::solve: only the kJacobi rung is sharded (other rungs "
         "take the legacy single-Vpu path)");
   }
-  const double coord0 = coord.counters().total_cycles();
-
   // Initial owned-data distribution: host-side marshalling, deliberately
   // uncounted (it is data placement, not halo traffic).
   for (std::size_t p = 0; p < shards_.size(); ++p) {
     Shard& sh = shards_[p];
     const int base = plan_.bounds[p];
-    std::copy(b.begin() + base, b.begin() + base + sh.rows, sh.b.begin());
-    std::copy(x.begin() + base, x.begin() + base + sh.rows, sh.x.begin());
+    std::copy(b.begin() + base, b.begin() + base + sh.a.rows(), sh.b.begin());
+    std::copy(x.begin() + base, x.begin() + base + sh.a.rows(), sh.x.begin());
   }
-  const auto gather_x = [&]() {
-    for (std::size_t p = 0; p < shards_.size(); ++p) {
-      const Shard& sh = shards_[p];
-      std::copy(sh.x.begin(), sh.x.begin() + sh.rows,
-                x.begin() + plan_.bounds[p]);
-    }
-  };
-  const auto owned = [](std::vector<double>& v, int rows) {
-    return std::span<double>(v.data(), static_cast<std::size_t>(rows));
-  };
-  const auto finish = [&](SolveReport& rep) -> SolveReport& {
-    makespan_ += coord.counters().total_cycles() - coord0;
-    return checked(rep);
-  };
-
-  SolveReport rep;
-  const double bnorm =
-      sharded_norm2(coord, [&](int p) {
-        return shards_[static_cast<std::size_t>(p)].b.data();
-      });
-  if (bnorm == 0.0) {
-    for_shards([&](int p) {
-      Shard& sh = shards_[static_cast<std::size_t>(p)];
-      sim::ScopedPhase scope(sh.vpu->profiler(), phase_);
-      vfill(*sh.vpu, owned(sh.x, sh.rows), 0.0, strip_);
-    });
-    gather_x();
-    rep.converged = true;
-    rep.history.push_back(0.0);
-    return finish(rep);
-  }
-
-  // r = b - A x
-  exchange_into(&Shard::x);
-  for_shards([&](int p) {
-    Shard& sh = shards_[static_cast<std::size_t>(p)];
-    seg_spmv(p, sh.x.data(), sh.ap.data());
-    sim::ScopedPhase scope(sh.vpu->profiler(), phase_);
-    vsub(*sh.vpu, sh.b, owned(sh.ap, sh.rows), owned(sh.r, sh.rows), strip_);
-  });
-  const double rel0 = coord.sdiv(
-      sharded_norm2(coord, [&](int p) {
-        return shards_[static_cast<std::size_t>(p)].r.data();
-      }),
-      bnorm);
-  rep.residual = rel0;
-  rep.history.push_back(rel0);
-  if (rel0 < opts.rel_tolerance) {
-    gather_x();
-    rep.converged = true;
-    return finish(rep);
-  }
-
-  for_shards([&](int p) {
-    Shard& sh = shards_[static_cast<std::size_t>(p)];
-    sim::ScopedPhase scope(sh.vpu->profiler(), phase_);
-    vjacobi_apply(*sh.vpu, sh.dinv, sh.r, owned(sh.z, sh.rows), strip_);
-    vcopy(*sh.vpu, sh.z, owned(sh.p, sh.rows), strip_);
-  });
-  double rz = sharded_dot(
-      coord,
-      [&](int p) { return shards_[static_cast<std::size_t>(p)].r.data(); },
-      [&](int p) { return shards_[static_cast<std::size_t>(p)].z.data(); });
-
-  for (int it = 0; it < opts.max_iterations; ++it) {
-    exchange_into(&Shard::p);
-    for_shards([&](int p) {
-      Shard& sh = shards_[static_cast<std::size_t>(p)];
-      seg_spmv(p, sh.p.data(), sh.ap.data());
-      seg_dot_partials(p, sh.p.data(), sh.ap.data(), sh.rows);
-    });
-    const double pap = fold_sum(coord);
-    if (pap == 0.0) {
-      // Breakdown exit, mirroring vbreakdown_exit: the aborted iteration
-      // is counted and the true residual appended.
-      const double rel = coord.sdiv(
-          sharded_norm2(coord, [&](int p) {
-            return shards_[static_cast<std::size_t>(p)].r.data();
-          }),
-          bnorm);
-      rep.iterations = it + 1;
-      rep.residual = rel;
-      rep.history.push_back(rel);
-      if (rel < opts.rel_tolerance) rep.converged = true;
-      gather_x();
-      return finish(rep);
-    }
-    const double alpha = coord.sdiv(rz, pap);
-    for_shards([&](int p) {
-      Shard& sh = shards_[static_cast<std::size_t>(p)];
-      sim::ScopedPhase scope(sh.vpu->profiler(), phase_);
-      vaxpy(*sh.vpu, alpha, owned(sh.p, sh.rows), owned(sh.x, sh.rows),
-            strip_);
-      vaxpy(*sh.vpu, -alpha, sh.ap, owned(sh.r, sh.rows), strip_);
-    });
-    const double rel = coord.sdiv(
-        sharded_norm2(coord, [&](int p) {
-          return shards_[static_cast<std::size_t>(p)].r.data();
-        }),
-        bnorm);
-    rep.history.push_back(rel);
-    rep.iterations = it + 1;
-    rep.residual = rel;
-    if (rel < opts.rel_tolerance) {
-      rep.converged = true;
-      gather_x();
-      return finish(rep);
-    }
-    for_shards([&](int p) {
-      Shard& sh = shards_[static_cast<std::size_t>(p)];
-      sim::ScopedPhase scope(sh.vpu->profiler(), phase_);
-      vjacobi_apply(*sh.vpu, sh.dinv, sh.r, owned(sh.z, sh.rows), strip_);
-    });
-    const double rz_new = sharded_dot(
-        coord,
-        [&](int p) { return shards_[static_cast<std::size_t>(p)].r.data(); },
-        [&](int p) { return shards_[static_cast<std::size_t>(p)].z.data(); });
-    const double beta = coord.sdiv(rz_new, rz);
-    rz = rz_new;
-    for_shards([&](int p) {
-      Shard& sh = shards_[static_cast<std::size_t>(p)];
-      sim::ScopedPhase scope(sh.vpu->profiler(), phase_);
-      vxpby(*sh.vpu, sh.z, beta, owned(sh.p, sh.rows), strip_);
-    });
-  }
-  gather_x();
-  return finish(rep);
+  Space sp{*this, coord, x, coord.counters().total_cycles()};
+  return cg_recurrence(sp, opts);
 }
 
 }  // namespace vecfd::solver

@@ -3,10 +3,19 @@
 //
 // A ShardPlan carves the solve-ordered index range [0, n) into P
 // contiguous, strip-aligned ownership ranges plus per-shard overlap-1
-// ghost sets; ShardedCg replays the exact vcg recurrence with every
-// vector value distributed across P instrumented Vpus (one memory
-// hierarchy per shard) and ghost refreshes priced through
-// sim::HaloExchange.
+// ghost sets; ShardedCg runs vcg's own recurrence (solver/cg_recurrence.h)
+// on an execution space that distributes every vector value across P
+// instrumented Vpus (one memory hierarchy per shard) and prices ghost
+// refreshes through sim::HaloExchange.  BSP epochs ({…} = one epoch):
+//
+//   ‖v‖₂, r·z    {partials} + coordinator fold; a ‖v‖₂ rescan adds
+//                {abs-max partials} and {scaled partials} + fold
+//   r = b − A·x  exchange x, {vspmv → Ap, r = b − Ap}
+//   z = M⁻¹r     {jacobi, copy z → p} before the loop, {jacobi} in it
+//   A·p, p·Ap    exchange p, {vspmv, partials} + fold
+//   x, r, p      {x += α·p, r −= α·Ap}, {p = z + β·p}
+//   x = 0        {fill} (the zero-RHS exit)
+//   every exit   gather owned x; the coordinator's cycles join the makespan
 //
 // P-independence contract: the solution field, every residual-history
 // entry and the iteration/convergence outcome are BIT-identical to the
@@ -19,10 +28,12 @@
 //      vredsum/vredmax partials and the coordinator folds them with the
 //      same scalar recurrence (sadd / NaN-sticky max) over the global
 //      strip sequence — never a shard-local pre-accumulation;
-//   3. the restricted operator mirrors keep each owned row's CSR entry
-//      order with pads that are exact fma no-ops (an fma chain seeded at
-//      +0.0 can never produce −0.0, so a shorter local pad tail cannot
-//      change the stored row result);
+//   3. each shard's restricted operator is an EllMatrix row-range mirror
+//      (EllMatrix::assign over the owned rows, columns renumbered to the
+//      local ids) that keeps each owned row's CSR entry order with pads
+//      that are exact fma no-ops (an fma chain seeded at +0.0 can never
+//      produce −0.0, so a shorter local pad tail cannot change the stored
+//      row result);
 //   4. elementwise kernels are order-free per element, and ghost reads see
 //      owner values copied bit-for-bit by HaloExchange before every
 //      operator application.
@@ -43,6 +54,7 @@
 #include "sim/vpu.h"
 #include "solver/csr.h"
 #include "solver/krylov.h"
+#include "solver/vkernels.h"
 
 namespace vecfd::solver {
 
@@ -79,12 +91,13 @@ struct ShardPlan {
 /// strips never straddle shards.
 std::vector<int> strip_bounds(int n, int shards, int quantum);
 
-/// Sharded replay of solver::vcg for the kJacobi rung on vector machines:
-/// P shard Vpus carry the distributed vector work, the coordinator Vpu
-/// carries the reduction folds, HaloExchange refreshes ghosts before each
-/// operator application.  Results are bit-identical to vcg (see header
-/// comment); counters land on the shard Vpus (aggregate via shard_vpu())
-/// and the coordinator.
+/// solver::vcg's recurrence for the kJacobi rung on vector machines, run
+/// sharded: P shard Vpus carry the distributed vector work, the
+/// coordinator Vpu carries the reduction folds, HaloExchange refreshes
+/// ghosts before each operator application.  Results are bit-identical to
+/// vcg on every exit (see header comment); counters land on the shard Vpus
+/// (aggregate via shard_vpu()) and the coordinator.  The shard operator is
+/// always ELL, whatever SpmvFormat the caller runs elsewhere.
 class ShardedCg {
  public:
   /// @throws std::runtime_error on a zero operator diagonal (the caller
@@ -118,40 +131,18 @@ class ShardedCg {
   void reset();
 
  private:
+  struct Space;  ///< cg_recurrence's sharded execution space (sharding.cpp)
+
   struct Shard {
     std::unique_ptr<sim::Vpu> vpu;
-    int rows = 0;   ///< owned rows
-    int width = 0;  ///< local ELL width (max owned-row nnz)
-    // Restricted operator: column-major ELL slabs over owned rows, local
-    // column ids (owned prefix, then ghosts), -1 masked pads, global CSR
-    // row entry order preserved.
-    std::vector<double> ell_vals;
-    std::vector<std::int32_t> ell_cols;
+    /// Restricted operator: the owned rows, local column ids (owned
+    /// prefix, then ghosts).
+    EllMatrix a;
     std::vector<double> dinv;   ///< owned slice of the Jacobi inverse diagonal
     std::vector<double> x, p;   ///< local_size: owned + ghost slots
     std::vector<double> b, r, z, ap;  ///< owned only
     std::vector<double> partials;     ///< raw per-strip reduction partials
   };
-
-  template <class Fn>
-  void for_shards(Fn&& fn);  ///< parallel epoch + makespan sync
-  void sync_epoch();
-
-  double fold_sum(sim::Vpu& coord) const;  ///< global-strip-order sadd fold
-  double fold_max() const;                 ///< NaN-sticky max fold (host)
-
-  void seg_dot_partials(int p, const double* a, const double* bb, int n);
-  void seg_max_partials(int p, const double* a, int n);
-  void seg_scaled_partials(int p, const double* a, int n, double m);
-  void seg_spmv(int p, const double* xloc, double* yloc);
-
-  /// Split vnorm2 over a per-shard owned span selected by @p get.
-  template <class Get>
-  double sharded_norm2(sim::Vpu& coord, Get&& get);
-  template <class Get, class GetB>
-  double sharded_dot(sim::Vpu& coord, Get&& get_a, GetB&& get_b);
-
-  void exchange_into(std::vector<double> Shard::*vec);
 
   ShardPlan plan_;
   int strip_ = 1;  ///< effective strip (== plan quantum)

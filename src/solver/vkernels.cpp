@@ -4,36 +4,10 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "solver/cg_recurrence.h"
 #include "solver/preconditioner.h"
 
 namespace vecfd::solver {
-
-EllMatrix::EllMatrix(const CsrMatrix& a) { assign(a); }
-
-void EllMatrix::assign(const CsrMatrix& a) {
-  rows_ = a.rows();
-  width_ = 0;
-  for (int r = 0; r < rows_; ++r) {
-    width_ = std::max(width_, static_cast<int>(a.row_cols(r).size()));
-  }
-  const std::size_t cells =
-      static_cast<std::size_t>(width_) * static_cast<std::size_t>(rows_);
-  vals_.assign(cells, 0.0);
-  cols_.assign(cells, 0);
-  for (int r = 0; r < rows_; ++r) {
-    const auto cs = a.row_cols(r);
-    const auto vs = a.row_vals(r);
-    for (int j = 0; j < width_; ++j) {
-      const std::size_t k = static_cast<std::size_t>(j) * rows_ + r;
-      if (j < static_cast<int>(cs.size())) {
-        vals_[k] = vs[static_cast<std::size_t>(j)];
-        cols_[k] = cs[static_cast<std::size_t>(j)];
-      } else {
-        cols_[k] = -1;  // masked pad: +0.0 and zero cache traffic
-      }
-    }
-  }
-}
 
 int solve_effective_strip(int requested, const sim::MachineConfig& machine) {
   if (!machine.vector_enabled) return requested;  // scalar loops honour it
@@ -113,31 +87,13 @@ int mirror_slice_height(int strip, const sim::MachineConfig& m) {
   return eff > 0 ? eff : 64;
 }
 
-/// Breakdown exit mirroring krylov.cpp's contract (aborted iteration @p it
-/// counted, true residual appended — the history.size() == iterations + 1
-/// invariant), residual computed through the Vpu so the exit stays
-/// instrumented.
+/// Breakdown exit (record_breakdown), residual computed through the Vpu
+/// so the exit stays instrumented.
 SolveReport& vbreakdown_exit(sim::Vpu& vpu, SolveReport& rep, int it,
                              std::span<const double> r, double bnorm,
                              const SolveOptions& opts, int strip) {
-  const double rel = vpu.sdiv(vnorm2(vpu, r, strip), bnorm);
-  rep.iterations = it + 1;
-  rep.residual = rel;
-  rep.history.push_back(rel);
-  if (rel < opts.rel_tolerance) rep.converged = true;
-  return checked(rep);
-}
-
-/// Mirror of krylov.cpp's guard: rungs above Jacobi live on the SPD vcg
-/// path only; the nonsymmetric solvers reject them loudly.
-void vrequire_jacobi_rung(const SolveOptions& opts, const char* who) {
-  if (opts.jacobi_precondition &&
-      opts.precond.kind != PrecondKind::kJacobi) {
-    throw std::invalid_argument(
-        std::string(who) + ": preconditioner '" +
-        to_string(opts.precond.kind) +
-        "' is only available on the SPD vcg path (use vcg, or kJacobi)");
-  }
+  return checked(record_breakdown(
+      rep, it, vpu.sdiv(vnorm2(vpu, r, strip), bnorm), opts.rel_tolerance));
 }
 
 /// Instrumented failure exit (SolveReport::failure, see krylov.h): the
@@ -151,12 +107,7 @@ SolveReport& vfailure_exit(sim::Vpu& vpu, SolveReport& rep, const char* why,
   op.apply(vpu, x, r, strip);
   vsub(vpu, b, r, r, strip);
   const double rel0 = vpu.sdiv(vnorm2(vpu, r, strip), bnorm);
-  rep.failure = why;
-  rep.iterations = 0;
-  rep.residual = rel0;
-  rep.history.assign(1, rel0);
-  rep.converged = rel0 < opts.rel_tolerance;
-  return checked(rep);
+  return checked(record_failure(rep, why, rel0, opts.rel_tolerance));
 }
 
 }  // namespace
@@ -164,7 +115,7 @@ SolveReport& vfailure_exit(sim::Vpu& vpu, SolveReport& rep, const char* why,
 void vspmv(sim::Vpu& vpu, const EllMatrix& a, std::span<const double> x,
            std::span<double> y, int strip) {
   const int n = a.rows();
-  check_len(x.size(), static_cast<std::size_t>(n), "vspmv");
+  check_len(x.size(), static_cast<std::size_t>(a.num_cols()), "vspmv");
   check_len(y.size(), static_cast<std::size_t>(n), "vspmv");
   if (vector_path(vpu)) {
     for_strips(vpu, n, effective_strip(vpu, strip), [&](int i, int) {
@@ -345,44 +296,38 @@ double vdot(sim::Vpu& vpu, std::span<const double> a,
 }
 
 double vnorm2(sim::Vpu& vpu, std::span<const double> a, int strip) {
-  const double s = vdot(vpu, a, a, strip);
-  if (s > kNormSumSqMin && s < kNormSumSqMax) {
-    return vpu.ssqrt(s);  // common path: the one-pass sum is trustworthy
-  }
-  // Rare rescan (mirrors norm2 in krylov.cpp): instrumented ‖a‖∞ pass
-  // picks the scale, then the scaled sum — so extreme-magnitude vectors
-  // cost a second pass but ordinary solves never pay for it.
   const int n = static_cast<int>(a.size());
-  double m = 0.0;
-  if (vector_path(vpu)) {
-    for_strips(vpu, n, effective_strip(vpu, strip), [&](int i, int) {
-      const double sm = vpu.vredmax(vpu.vabs(vpu.vload(a.data() + i)));
-      if (sm > m || std::isnan(sm)) m = sm;  // NaN-propagating running max
-      vpu.sarith(1);
-    });
-  } else {
-    for (int i = 0; i < n; ++i) {
-      const double av = std::fabs(vpu.sload(a.data() + i));
-      if (av > m || std::isnan(av)) m = av;
-      vpu.sarith(1);
+  const auto abs_max = [&](auto&& max_into) {
+    if (vector_path(vpu)) {
+      for_strips(vpu, n, effective_strip(vpu, strip), [&](int i, int) {
+        max_into(vpu.vredmax(vpu.vabs(vpu.vload(a.data() + i))));
+        vpu.sarith(1);
+      });
+    } else {
+      for (int i = 0; i < n; ++i) {
+        max_into(std::fabs(vpu.sload(a.data() + i)));
+        vpu.sarith(1);
+      }
     }
-  }
-  if (m == 0.0) return 0.0;
-  if (std::isinf(m)) return m;  // an inf entry: the norm IS inf, not NaN
-  double ssq = 0.0;
-  if (vector_path(vpu)) {
-    for_strips(vpu, n, effective_strip(vpu, strip), [&](int i, int) {
-      const sim::Vec q = vpu.vdiv(vpu.vload(a.data() + i), vpu.vsplat(m));
-      ssq = vpu.sadd(ssq, vpu.vredsum(vpu.vmul(q, q)));
-    });
-  } else {
-    for (int i = 0; i < n; ++i) {
-      const double q = vpu.sdiv(vpu.sload(a.data() + i), m);
-      ssq = vpu.sfma(q, q, ssq);
-      vpu.sarith(1);
+  };
+  const auto scaled_sum_sq = [&](double m) {
+    double ssq = 0.0;
+    if (vector_path(vpu)) {
+      for_strips(vpu, n, effective_strip(vpu, strip), [&](int i, int) {
+        const sim::Vec q = vpu.vdiv(vpu.vload(a.data() + i), vpu.vsplat(m));
+        ssq = vpu.sadd(ssq, vpu.vredsum(vpu.vmul(q, q)));
+      });
+    } else {
+      for (int i = 0; i < n; ++i) {
+        const double q = vpu.sdiv(vpu.sload(a.data() + i), m);
+        ssq = vpu.sfma(q, q, ssq);
+        vpu.sarith(1);
+      }
     }
-  }
-  return vpu.smul(m, vpu.ssqrt(ssq));
+    return ssq;
+  };
+  return norm2_rescan(
+      vpu, [&] { return vdot(vpu, a, a, strip); }, abs_max, scaled_sum_sq);
 }
 
 void vaxpy(sim::Vpu& vpu, double alpha, std::span<const double> x,
@@ -908,6 +853,65 @@ void bicgstab_p_update_multi(sim::Vpu& vpu, std::span<const double> r,
   });
 }
 
+/// The single-Vpu execution space of cg_recurrence: every operation is
+/// issued on one Vpu over the workspace vectors (q holds Ap).
+struct VpuSpace {
+  sim::Vpu& vpu;
+  const CsrMatrix& a;
+  std::span<const double> b;
+  std::span<double> x;
+  int strip;
+  KrylovWorkspace& ws;
+  SpmvFormat format;
+
+  sim::Vpu& scalar() { return vpu; }
+  double norm2_b() { return vnorm2(vpu, b, strip); }
+  double norm2_r() { return vnorm2(vpu, ws.r, strip); }
+  void zero_x() { vfill(vpu, x, 0.0, strip); }
+
+  void prepare() {
+    ws.op.assign(a, format, mirror_slice_height(strip, vpu.config()));
+    ws.r.assign(b.size(), 0.0);
+    ws.z.assign(b.size(), 0.0);
+    ws.p.assign(b.size(), 0.0);
+    ws.q.assign(b.size(), 0.0);
+  }
+
+  // The ladder rung (solver/preconditioner.h).  kJacobi issues no setup
+  // instructions, so that rung's stream is bit-identical to the historic
+  // inline-Jacobi vcg; kCheby's power iterations run here, inside the
+  // caller's phase scope, so eigenvalue estimation is counter-priced.
+  void setup_precond(const SolveOptions& opts) {
+    if (!ws.precond) ws.precond = std::make_shared<Preconditioner>();
+    ws.precond->setup(vpu, a, ws.op, opts, strip);
+  }
+
+  void residual() {
+    ws.op.apply(vpu, x, ws.r, strip);
+    vsub(vpu, b, ws.r, ws.r, strip);
+  }
+
+  double precond(bool init) {
+    ws.precond->apply(vpu, ws.r, ws.z, strip);
+    if (init) vcopy(vpu, ws.z, ws.p, strip);
+    return vdot(vpu, ws.r, ws.z, strip);
+  }
+
+  double apply_p() {
+    ws.op.apply(vpu, ws.p, ws.q, strip);
+    return vdot(vpu, ws.p, ws.q, strip);
+  }
+
+  void update_xr(double alpha) {
+    vaxpy(vpu, alpha, ws.p, x, strip);
+    vaxpy(vpu, -alpha, ws.q, ws.r, strip);
+  }
+
+  void update_p(double beta) { vxpby(vpu, ws.z, beta, ws.p, strip); }
+
+  SolveReport finish(SolveReport& rep) { return checked(rep); }
+};
+
 }  // namespace
 
 SolveReport vcg(sim::Vpu& vpu, const CsrMatrix& a, std::span<const double> b,
@@ -917,80 +921,9 @@ SolveReport vcg(sim::Vpu& vpu, const CsrMatrix& a, std::span<const double> b,
   if (static_cast<int>(n) != a.rows() || x.size() != n) {
     throw std::invalid_argument("vcg: dimension mismatch");
   }
-  SolveReport rep;
-  const double bnorm = vnorm2(vpu, b, strip);
-  if (bnorm == 0.0) {
-    vfill(vpu, x, 0.0, strip);
-    rep.converged = true;
-    rep.history.push_back(0.0);
-    return checked(rep);
-  }
   KrylovWorkspace local;
-  if (ws == nullptr) ws = &local;
-  ws->op.assign(a, format, mirror_slice_height(strip, vpu.config()));
-  const OperatorMirror& op = ws->op;
-
-  std::vector<double>&r = ws->r, &z = ws->z, &p = ws->p, &ap = ws->q;
-  r.assign(n, 0.0);
-  z.assign(n, 0.0);
-  p.assign(n, 0.0);
-  ap.assign(n, 0.0);
-  // Fault-plan hook (sim/fault_injection.h): fail through the regular
-  // instrumented failure exit, so the report carries the true residual of
-  // the untouched iterate exactly like a genuine breakdown would.
-  if (opts.inject_breakdown) {
-    return checked(vfailure_exit(vpu, rep,
-                                 "injected solver breakdown (fault plan)", op,
-                                 b, x, r, bnorm, opts, strip));
-  }
-  // The ladder rung (solver/preconditioner.h).  kJacobi issues no setup
-  // instructions, so that rung's stream is bit-identical to the historic
-  // inline-Jacobi vcg; kCheby's power iterations run here, inside the
-  // caller's phase scope, so eigenvalue estimation is counter-priced.
-  if (!ws->precond) ws->precond = std::make_shared<Preconditioner>();
-  try {
-    ws->precond->setup(vpu, a, op, opts, strip);
-  } catch (const std::runtime_error& e) {
-    return checked(
-        vfailure_exit(vpu, rep, e.what(), op, b, x, r, bnorm, opts, strip));
-  }
-  op.apply(vpu, x, r, strip);
-  vsub(vpu, b, r, r, strip);
-  const double rel0 = vpu.sdiv(vnorm2(vpu, r, strip), bnorm);
-  rep.residual = rel0;
-  rep.history.push_back(rel0);
-  if (rel0 < opts.rel_tolerance) {
-    rep.converged = true;
-    return checked(rep);
-  }
-  ws->precond->apply(vpu, r, z, strip);
-  vcopy(vpu, z, p, strip);
-  double rz = vdot(vpu, r, z, strip);
-
-  for (int it = 0; it < opts.max_iterations; ++it) {
-    op.apply(vpu, p, ap, strip);
-    const double pap = vdot(vpu, p, ap, strip);
-    if (pap == 0.0) {
-      return checked(vbreakdown_exit(vpu, rep, it, r, bnorm, opts, strip));
-    }
-    const double alpha = vpu.sdiv(rz, pap);
-    vaxpy(vpu, alpha, p, x, strip);
-    vaxpy(vpu, -alpha, ap, r, strip);
-    const double rel = vpu.sdiv(vnorm2(vpu, r, strip), bnorm);
-    rep.history.push_back(rel);
-    rep.iterations = it + 1;
-    rep.residual = rel;
-    if (rel < opts.rel_tolerance) {
-      rep.converged = true;
-      return checked(rep);
-    }
-    ws->precond->apply(vpu, r, z, strip);
-    const double rz_new = vdot(vpu, r, z, strip);
-    const double beta = vpu.sdiv(rz_new, rz);
-    rz = rz_new;
-    vxpby(vpu, z, beta, p, strip);
-  }
-  return checked(rep);
+  VpuSpace sp{vpu, a, b, x, strip, ws != nullptr ? *ws : local, format};
+  return cg_recurrence(sp, opts);
 }
 
 SolveReport vbicgstab(sim::Vpu& vpu, const CsrMatrix& a,
@@ -1001,7 +934,7 @@ SolveReport vbicgstab(sim::Vpu& vpu, const CsrMatrix& a,
   if (static_cast<int>(n) != a.rows() || x.size() != n) {
     throw std::invalid_argument("vbicgstab: dimension mismatch");
   }
-  vrequire_jacobi_rung(opts, "vbicgstab");
+  require_jacobi_rung(opts, "vbicgstab");
   SolveReport rep;
   const double bnorm = vnorm2(vpu, b, strip);
   if (bnorm == 0.0) {
@@ -1126,7 +1059,7 @@ std::vector<SolveReport> vbicgstab_multi(sim::Vpu& vpu, const CsrMatrix& a,
   if (b.size() != cells || x.size() != cells) {
     throw std::invalid_argument("vbicgstab_multi: dimension mismatch");
   }
-  vrequire_jacobi_rung(opts, "vbicgstab_multi");
+  require_jacobi_rung(opts, "vbicgstab_multi");
   auto bcol = [&](int d) {
     return b.subspan(static_cast<std::size_t>(d) * n, n);
   };

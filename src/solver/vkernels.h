@@ -14,9 +14,11 @@
 //     across a strip of rows.  Every instruction runs at the strip's vector
 //     length, so AVL approaches vlmax for large strips.
 //   * The BLAS-1 kernels (dot, norm2, axpy, ...) strip-mine the same way.
-//   * vcg / vbicgstab mirror the host cg / bicgstab step for step
-//     (including the breakdown-reporting contract of krylov.h) and agree
-//     with them to solver tolerance.
+//   * vcg runs the one CG recurrence of solver/cg_recurrence.h (shared
+//     with the host cg and the sharded solver::ShardedCg) on a single Vpu;
+//     vbicgstab mirrors the host bicgstab step for step (including the
+//     breakdown-reporting contract of krylov.h); both agree with the host
+//     solvers to solver tolerance.
 //
 // Every kernel takes a `strip` parameter — the requested software strip
 // length, Alya's VECTOR_SIZE applied to the solve; <= 0 means vlmax.  On a
@@ -34,6 +36,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/vpu.h"
@@ -71,15 +74,53 @@ void for_strips(sim::Vpu& vpu, int n, int strip, Fn&& fn) {
 class EllMatrix {
  public:
   EllMatrix() = default;
-  explicit EllMatrix(const CsrMatrix& a);
+  explicit EllMatrix(const CsrMatrix& a) { assign(a); }
 
   /// Re-mirror @p a, reusing the existing slab storage when the shape
   /// (rows × width) is unchanged — no reallocation, so repeated solves on
   /// an updated operator keep touching the same memory lines (the
-  /// determinism requirement of mem/memory_hierarchy.h).
-  void assign(const CsrMatrix& a);
+  /// determinism requirement of mem/memory_hierarchy.h).  The identity
+  /// case of the row-range assign below.
+  void assign(const CsrMatrix& a) {
+    assign(a, 0, a.rows(), a.rows(), [](int c) { return c; });
+  }
+
+  /// Mirror rows [@p row_begin, @p row_end) of @p a with every column id c
+  /// renumbered to local_col(c) in [0, @p num_cols), keeping each row's
+  /// CSR entry order (a shard's restricted operator, DESIGN.md §9).
+  /// @throws std::invalid_argument when local_col maps outside the range.
+  template <class LocalCol>
+  void assign(const CsrMatrix& a, int row_begin, int row_end, int num_cols,
+              LocalCol&& local_col) {
+    rows_ = row_end - row_begin;
+    num_cols_ = num_cols;
+    width_ = 0;
+    for (int r = row_begin; r < row_end; ++r) {
+      width_ = std::max(width_, static_cast<int>(a.row_cols(r).size()));
+    }
+    const std::size_t cells =
+        static_cast<std::size_t>(width_) * static_cast<std::size_t>(rows_);
+    vals_.assign(cells, 0.0);
+    cols_.assign(cells, -1);  // masked pads: +0.0 and zero cache traffic
+    for (int r = 0; r < rows_; ++r) {
+      const auto cs = a.row_cols(row_begin + r);
+      const auto vs = a.row_vals(row_begin + r);
+      for (std::size_t j = 0; j < cs.size(); ++j) {
+        const int c = local_col(cs[j]);
+        if (c < 0 || c >= num_cols) {
+          throw std::invalid_argument(
+              "EllMatrix::assign: column outside the local column range");
+        }
+        const std::size_t k = j * static_cast<std::size_t>(rows_) +
+                              static_cast<std::size_t>(r);
+        vals_[k] = vs[j];
+        cols_[k] = c;
+      }
+    }
+  }
 
   int rows() const { return rows_; }
+  int num_cols() const { return num_cols_; }  ///< length of x in vspmv
   int width() const { return width_; }  ///< max nonzeros per row
 
   /// Slab j (j in [0, width)): entry j of every row, row-contiguous.
@@ -92,6 +133,7 @@ class EllMatrix {
 
  private:
   int rows_ = 0;
+  int num_cols_ = 0;
   int width_ = 0;
   std::vector<double> vals_;        // [width][rows]
   std::vector<std::int32_t> cols_;  // [width][rows]
@@ -268,8 +310,10 @@ void vjacobi_apply_multi(sim::Vpu& vpu, std::span<const double> dinv,
                          std::span<const char> active = {});
 
 // ---- instrumented Krylov solvers --------------------------------------
-// Step-for-step mirrors of krylov.h's cg / bicgstab, including the Jacobi
-// preconditioner and the breakdown-reporting contract.  The CSR operator is
+// vcg is the single-Vpu instance of the shared CG recurrence
+// (solver/cg_recurrence.h); vbicgstab is a step-for-step mirror of
+// krylov.h's bicgstab.  Both keep the breakdown-reporting contract.  The
+// CSR operator is
 // mirrored into the requested SpmvFormat internally (SELL slices at the
 // effective strip); because every format masks its pads and preserves the
 // per-row accumulation order, the residual HISTORY of a solve is

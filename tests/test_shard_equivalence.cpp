@@ -5,7 +5,9 @@
 //
 // Covered here:
 //   * solver::ShardedCg vs solver::vcg on the same pinned Laplacian,
-//     bitwise (solution, history, iterations, residual), incl. b = 0;
+//     bitwise (solution, history, iterations, residual, failure) on every
+//     exit: converged, iteration budget, rel0 < tol, injected failure and
+//     b = 0;
 //   * miniapp::TimeLoop runs at P ∈ {1, 2, 4, 8}: identical fields and
 //     pressure histories, halo counters live iff P > 1 on the kJacobi
 //     vector path, silent legacy fallback (zero halo counters, identical
@@ -77,31 +79,81 @@ TEST(ShardedCg, BitIdenticalToVcg) {
   const int vs = 64;
   const int quantum = solver::solve_effective_strip(vs, machine);
   const int n = sys.mesh.num_nodes();
+  const auto vcg_from = [&](std::vector<double> x,
+                            const solver::SolveOptions& opts) {
+    sim::Vpu vpu(machine);
+    solver::vcg(vpu, sys.a, sys.b, x, opts, vs);
+    return x;
+  };
 
-  sim::Vpu ref_vpu(machine);
-  std::vector<double> x_ref(static_cast<std::size_t>(n), 0.0);
-  const solver::SolveOptions opts;
-  solver::SolveReport ref =
-      solver::vcg(ref_vpu, sys.a, sys.b, x_ref, opts, vs);
+  // One input per exit of the shared recurrence: converged, iteration
+  // budget, rel0 < tol (x0 already solved) and the injected failure.
+  const std::vector<double> zero_x(static_cast<std::size_t>(n), 0.0);
+  solver::SolveOptions budget;
+  budget.max_iterations = 3;
+  const std::vector<double> x_part = vcg_from(zero_x, budget);
+  const std::vector<double> x_solved = vcg_from(zero_x, {});
+  solver::SolveOptions loose;
+  loose.rel_tolerance = 1e-6;
+  solver::SolveOptions inject;
+  inject.inject_breakdown = true;
+  enum class Exit { kConverged, kBudget, kRel0, kInjected };
+  const struct {
+    Exit exit;
+    const char* name;
+    solver::SolveOptions opts;
+    const std::vector<double>& x0;
+  } cases[] = {{Exit::kConverged, "converged", {}, zero_x},
+               {Exit::kBudget, "budget", budget, zero_x},
+               {Exit::kRel0, "rel0", loose, x_solved},
+               {Exit::kInjected, "inject", inject, x_part}};
 
-  for (const int shards : {2, 4, 8}) {
-    fem::MeshPartition part = fem::partition_mesh(sys.mesh, shards, quantum);
-    solver::ShardedCg scg(std::move(part.plan), sys.a, machine, vs,
-                          miniapp::kPressurePhase);
-    sim::Vpu coord(machine);
-    std::vector<double> x(static_cast<std::size_t>(n), 0.0);
-    const solver::SolveReport rep = scg.solve(coord, sys.b, x, opts);
-    const std::string what = "P=" + std::to_string(shards);
-    expect_reports_identical(rep, ref, what);
-    EXPECT_EQ(x, x_ref) << what;  // bitwise, every unknown
-    EXPECT_GT(scg.makespan_cycles(), 0.0) << what;
-    // The distributed work really ran on the shard Vpus.
-    std::uint64_t halo = 0;
-    for (int p = 0; p < shards; ++p) {
-      halo += scg.shard_vpu(p).counters().halo_lines_sent +
-              scg.shard_vpu(p).counters().halo_lines_recv;
+  for (const auto& c : cases) {
+    sim::Vpu ref_vpu(machine);
+    std::vector<double> x_ref = c.x0;
+    const solver::SolveReport ref =
+        solver::vcg(ref_vpu, sys.a, sys.b, x_ref, c.opts, vs);
+    // The reference really takes the exit this case is named after.
+    switch (c.exit) {
+      case Exit::kConverged:
+        EXPECT_TRUE(ref.converged);
+        EXPECT_GT(ref.iterations, 3);
+        break;
+      case Exit::kBudget:
+        EXPECT_FALSE(ref.converged);
+        EXPECT_EQ(ref.iterations, 3);
+        break;
+      case Exit::kRel0:
+        EXPECT_TRUE(ref.converged);
+        EXPECT_EQ(ref.iterations, 0);
+        break;
+      case Exit::kInjected:
+        EXPECT_EQ(ref.failure, "injected solver breakdown (fault plan)");
+        EXPECT_EQ(ref.history.size(), 1u);
+        EXPECT_EQ(x_ref, c.x0);  // untouched
+        break;
     }
-    EXPECT_GT(halo, 0u) << what;
+
+    for (const int shards : {2, 4, 8}) {
+      fem::MeshPartition part = fem::partition_mesh(sys.mesh, shards, quantum);
+      solver::ShardedCg scg(std::move(part.plan), sys.a, machine, vs,
+                            miniapp::kPressurePhase);
+      sim::Vpu coord(machine);
+      std::vector<double> x = c.x0;
+      const solver::SolveReport rep = scg.solve(coord, sys.b, x, c.opts);
+      const std::string what =
+          std::string(c.name) + " P=" + std::to_string(shards);
+      expect_reports_identical(rep, ref, what);
+      EXPECT_EQ(x, x_ref) << what;  // bitwise, every unknown
+      EXPECT_GT(scg.makespan_cycles(), 0.0) << what;
+      // The distributed work really ran on the shard Vpus.
+      std::uint64_t halo = 0;
+      for (int p = 0; p < shards; ++p) {
+        halo += scg.shard_vpu(p).counters().halo_lines_sent +
+                scg.shard_vpu(p).counters().halo_lines_recv;
+      }
+      EXPECT_GT(halo, 0u) << what;
+    }
   }
 }
 

@@ -151,6 +151,23 @@ TEST(Cg, WithoutPreconditionerStillConverges) {
   EXPECT_TRUE(rep.converged);
 }
 
+TEST(Cg, InjectedBreakdownTakesTheFailureExit) {
+  // The host cg shares vcg's recurrence, so the fault hook reaches it too:
+  // the solve never runs, x stays put, the true residual is reported.
+  CsrMatrix a = poisson1d(16);
+  std::vector<double> b(16, 1.0);
+  std::vector<double> x(16, 0.25);
+  const std::vector<double> x0 = x;
+  SolveOptions opts;
+  opts.inject_breakdown = true;
+  const auto rep = cg(a, b, x, opts);
+  EXPECT_EQ(rep.failure, "injected solver breakdown (fault plan)");
+  EXPECT_EQ(rep.iterations, 0);
+  ASSERT_EQ(rep.history.size(), 1u);
+  EXPECT_GT(rep.residual, 0.0);
+  EXPECT_EQ(x, x0);
+}
+
 TEST(Bicgstab, SolvesNonsymmetricSystem) {
   const int n = 64;
   CsrMatrix a = advdiff1d(n, 0.6);
