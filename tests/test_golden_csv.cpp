@@ -10,7 +10,11 @@
 //     sell+rcm point and a degraded retry row;
 //   * tests/golden/sharded_cg_counters.csv — every registered counter of
 //     each shard Vpu and of the coordinator, plus the BSP makespan, of a
-//     direct solver::ShardedCg solve at P ∈ {2, 4}.
+//     direct solver::ShardedCg solve at P ∈ {2, 4};
+//   * tests/golden/bicgstab_counters.csv — every exit of the host and
+//     instrumented BiCGStab solvers (single-RHS and blocked), per format
+//     and machine: per-column reports, a hash of x and the histories, and
+//     every registered counter of the Vpu solves.
 //
 // For each golden:
 //
@@ -19,9 +23,9 @@
 //   * the VALUES are tolerance-compared per cell (numeric cells within
 //     1e-9 relative, everything else exactly), so last-ulp timing noise
 //     across compilers doesn't flake while real counter regressions fail.
-//     The sharded counter golden is the exception: it pins the instruction
-//     stream and BSP epoch structure of the sharded solve, so its values
-//     (written at %.17g) must match bitwise.
+//     The two counter goldens are the exception: they pin the instruction
+//     streams (and the BSP epoch structure of the sharded solve), so their
+//     values (written at %.17g) must match bitwise.
 //
 // Updating the golden is deliberate: run the test binary with
 // `--regen-golden` and commit the rewritten file.
@@ -32,12 +36,16 @@
 // (see sanitizer_support.h); the schema check always runs.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -50,6 +58,7 @@
 #include "miniapp/time_loop.h"
 #include "platforms/platforms.h"
 #include "sim/fault_injection.h"
+#include "solver/krylov.h"
 #include "solver/sharding.h"
 #include "solver/vkernels.h"
 #include "sanitizer_support.h"
@@ -164,6 +173,139 @@ std::string generate_sharded_counters_csv() {
   return os.str();
 }
 
+/// A deterministic nonsymmetric, diagonally dominant n×n system: a
+/// convection-biased chain (−1.3 below, −0.7 above the diagonal) plus one
+/// scattered long-range coupling per row, so the SpMV gathers off-strip.
+/// Row @p zero_diag_row (if ≥ 0) gets a zero diagonal: the Jacobi setup
+/// failure exit.
+solver::CsrMatrix golden_nonsymmetric(int n, int zero_diag_row) {
+  std::vector<std::vector<int>> adj(static_cast<std::size_t>(n));
+  for (int r = 0; r < n; ++r) {
+    auto& row = adj[static_cast<std::size_t>(r)];
+    if (r > 0) row.push_back(r - 1);
+    if (r + 1 < n) row.push_back(r + 1);
+    row.push_back((r * 37 + 11) % n);
+  }
+  solver::CsrMatrix a(adj);
+  for (int r = 0; r < n; ++r) {
+    if (r > 0) a.add(r, r - 1, -1.3);
+    if (r + 1 < n) a.add(r, r + 1, -0.7);
+    const int far = (r * 37 + 11) % n;
+    if (far != r) a.add(r, far, -0.25 * (1.0 + std::sin(r)));
+    if (r != zero_diag_row) a.add(r, r, 4.0 + 0.1 * (r % 7));
+  }
+  return a;
+}
+
+/// FNV-1a over the bit patterns of @p v (iterates and residual histories
+/// pinned bitwise in one hex cell).
+void fnv_mix(std::uint64_t& h, std::span<const double> v) {
+  for (const double d : v) {
+    const auto bits = std::bit_cast<std::uint64_t>(d);
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (bits >> (8 * byte)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  }
+}
+
+/// The BiCGStab golden workload: every exit of the single-RHS and blocked
+/// (k = 3, one zero column) solvers on a 150-row nonsymmetric system, for
+/// each format on riscv-vec and riscv-vec-scalar at VECTOR_SIZE 64, plus
+/// the host solvers.  One row per solve: each column's iterations,
+/// convergence and residual, a hash of x and the residual histories, and —
+/// for Vpu solves — every registered counter.
+std::string generate_bicgstab_counters_csv() {
+  const int n = 150;  // 2 full strips + a 22-row tail at VS 64
+  const int vs = 64;
+  const solver::CsrMatrix a = golden_nonsymmetric(n, -1);
+  const solver::CsrMatrix a_zero_diag = golden_nonsymmetric(n, 5);
+  solver::CsrMatrix a_breakdown(std::vector<std::vector<int>>(2));
+  a_breakdown.add(0, 0, 1.0);  // diag(1, −1), b = (1, 1): r₀·v = 0
+  a_breakdown.add(1, 1, -1.0);
+  std::vector<double> b(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) b[static_cast<std::size_t>(i)] = std::cos(i);
+  std::vector<double> b3(static_cast<std::size_t>(3 * n), 0.0);
+  for (int i = 0; i < n; ++i) {
+    b3[static_cast<std::size_t>(i)] = b[static_cast<std::size_t>(i)];
+    b3[static_cast<std::size_t>(2 * n + i)] = 1.0 + 0.5 * std::sin(3 * i);
+  }
+  const std::vector<double> b_breakdown{1.0, 1.0};
+
+  struct Case {
+    const char* name;
+    const solver::CsrMatrix* a;
+    const std::vector<double>* b;
+    int k;
+    solver::SolveOptions opts;
+  };
+  const Case cases[] = {
+      {"converged", &a, &b, 1, {}},
+      {"budget", &a, &b, 1, {.max_iterations = 3, .precond = {}}},
+      {"failure", &a_zero_diag, &b, 1, {}},
+      {"breakdown", &a_breakdown, &b_breakdown, 1,
+       {.jacobi_precondition = false, .precond = {}}},
+      {"block3", &a, &b3, 3, {}},
+  };
+
+  std::ostringstream os;
+  os << "case,solver,machine,format,reports,hash";
+  sim::Counters::visit_fields(
+      [&](const sim::CounterInfo& info) { os << ',' << info.name; });
+  os << '\n';
+  const auto row = [&](const Case& c, const char* solver_name,
+                       const std::string& machine, std::string_view format,
+                       const std::vector<solver::SolveReport>& reps,
+                       std::span<const double> x, const sim::Vpu* vpu) {
+    os << c.name << ',' << solver_name << ',' << machine << ',' << format
+       << ',';
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    fnv_mix(h, x);
+    for (std::size_t d = 0; d < reps.size(); ++d) {
+      os << (d ? ";" : "") << reps[d].iterations << ':' << reps[d].converged
+         << ':' << format_cell(reps[d].residual);
+      fnv_mix(h, reps[d].history);
+    }
+    char hex[20];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(h));
+    os << ',' << hex;
+    if (vpu != nullptr) {
+      vpu->counters().visit([&](const sim::CounterInfo&, const auto& v) {
+        os << ',' << format_cell(v);
+      });
+    }
+    os << '\n';
+  };
+  for (const Case& c : cases) {
+    std::vector<double> x(c.b->size(), 0.0);
+    const std::vector<solver::SolveReport> reps =
+        c.k == 1 ? std::vector{solver::bicgstab(*c.a, *c.b, x, c.opts)}
+                 : solver::bicgstab_multi(*c.a, *c.b, x, c.k, c.opts);
+    row(c, c.k == 1 ? "bicgstab" : "bicgstab_multi", "host", "csr", reps, x,
+        nullptr);
+  }
+  for (const sim::MachineConfig& m :
+       {platforms::riscv_vec(), platforms::riscv_vec_scalar()}) {
+    for (const solver::SpmvFormat f :
+         {solver::SpmvFormat::kCsrHost, solver::SpmvFormat::kEll,
+          solver::SpmvFormat::kSell}) {
+      for (const Case& c : cases) {
+        sim::Vpu vpu(m);
+        std::vector<double> x(c.b->size(), 0.0);
+        const std::vector<solver::SolveReport> reps =
+            c.k == 1 ? std::vector{solver::vbicgstab(vpu, *c.a, *c.b, x,
+                                                     c.opts, vs, nullptr, f)}
+                     : solver::vbicgstab_multi(vpu, *c.a, *c.b, x, c.k,
+                                               c.opts, vs, nullptr, f);
+        row(c, c.k == 1 ? "vbicgstab" : "vbicgstab_multi", m.name,
+            solver::to_string(f), reps, x, &vpu);
+      }
+    }
+  }
+  return os.str();
+}
+
 struct Golden {
   const char* path;
   std::string (*generate)();
@@ -174,6 +316,8 @@ const Golden kCampaign{VECFD_GOLDEN_DIR "/campaign_small.csv",
                        generate_campaign_csv};
 const Golden kShardedCounters{VECFD_GOLDEN_DIR "/sharded_cg_counters.csv",
                               generate_sharded_counters_csv};
+const Golden kBicgstabCounters{VECFD_GOLDEN_DIR "/bicgstab_counters.csv",
+                               generate_bicgstab_counters_csv};
 
 std::vector<std::string> lines_of(const std::string& text) {
   std::vector<std::string> out;
@@ -281,6 +425,19 @@ TEST(GoldenShardedCounters, ValuesMatchBitwise) {
   expect_values_bitwise(kShardedCounters);
 }
 
+TEST(GoldenBicgstabCounters, GoldenFileExists) {
+  expect_golden_exists(kBicgstabCounters);
+}
+
+TEST(GoldenBicgstabCounters, SchemaIsByteStable) {
+  expect_schema_byte_stable(kBicgstabCounters);
+}
+
+TEST(GoldenBicgstabCounters, ValuesMatchBitwise) {
+  VECFD_SKIP_UNDER_ASAN();
+  expect_values_bitwise(kBicgstabCounters);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -289,7 +446,8 @@ int main(int argc, char** argv) {
     if (std::string(argv[i]) == "--regen-golden") regen = true;
   }
   if (regen) {
-    for (const Golden* g : {&kSweep, &kCampaign, &kShardedCounters}) {
+    for (const Golden* g :
+         {&kSweep, &kCampaign, &kShardedCounters, &kBicgstabCounters}) {
       std::ofstream os(g->path, std::ios::binary);
       if (!os) {
         std::fprintf(stderr, "cannot open %s\n", g->path);
