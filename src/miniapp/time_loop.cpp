@@ -294,8 +294,12 @@ TimeLoopResult TimeLoop::run(sim::Vpu& vpu) {
   // guarantee into the solvers.
   std::vector<double> vel_now(un * fem::kDim);
   // Node-major component blocks (column d spans [d·nn, (d+1)·nn)): the
-  // layout the blocked phase-9/11 kernels stream; the per-component path
-  // works on the same columns through single-RHS kernels.
+  // layout the phase-9/11 multi kernels stream.  They run on groups of
+  // `group` columns: all kDim at once when blocked_momentum, else one
+  // component at a time (k = 1, where every multi kernel and
+  // vbicgstab_multi is its single-RHS counterpart).
+  const int group = cfg_.blocked_momentum ? fem::kDim : 1;
+  const auto ug = static_cast<std::size_t>(group);
   std::vector<double> u_blk(un * fem::kDim), b_blk(un * fem::kDim);
   std::vector<double> tmp_blk(un * fem::kDim), ustar_blk(un * fem::kDim);
   const auto col = [un](std::vector<double>& blk, int d) {
@@ -306,12 +310,20 @@ TimeLoopResult TimeLoop::run(sim::Vpu& vpu) {
     return std::span<const double>(blk).subspan(
         static_cast<std::size_t>(d) * un, un);
   };
+  // the group of columns starting at component d0
+  const auto cols = [un, ug](std::vector<double>& blk, int d0) {
+    return std::span<double>(blk).subspan(static_cast<std::size_t>(d0) * un,
+                                          ug * un);
+  };
   std::array<double, fem::kDim> ones;
   ones.fill(1.0);
   std::array<double, fem::kDim> minus_ones;
   minus_ones.fill(-1.0);
   std::array<double, fem::kDim> corr_scale;
   corr_scale.fill(-1.0 / rho_dt);
+  const auto ones_g = std::span<const double>(ones).first(ug);
+  const auto minus_ones_g = std::span<const double>(minus_ones).first(ug);
+  const auto corr_scale_g = std::span<const double>(corr_scale).first(ug);
   std::vector<double> phi(un), b_p(un);
   std::vector<double> div, grad;
   MiniAppResult ar;
@@ -394,12 +406,12 @@ TimeLoopResult TimeLoop::run(sim::Vpu& vpu) {
     }
     k_op.assign(ar.matrix, cfg_.format, slice_c);
 
-    // ---- phase 9: blocked multi-RHS momentum BiCGStab ------------------
+    // ---- phase 9: multi-RHS momentum BiCGStab ---------------------------
     // The kDim component systems share the operator K, so the RHS block is
     // formed and solved with the multi-RHS kernels (one value/index slab
-    // load per strip feeding kDim gather streams); blocked_momentum = false
-    // runs the sequential 9a–9c reference on the same column buffers —
-    // bit-identical per component (DESIGN.md §5).
+    // load per strip feeding kDim gather streams).  blocked_momentum = false
+    // runs the same code one component at a time — the sequential 9a–9c
+    // reference, bit-identical per component (DESIGN.md §5).
     {
       sim::ScopedPhase scope(vpu.profiler(), kSolvePhase);
       for (int d = 0; d < fem::kDim; ++d) {
@@ -408,77 +420,51 @@ TimeLoopResult TimeLoop::run(sim::Vpu& vpu) {
         solver::vpack_strided(vpu, ar.rhs.data() + d, fem::kDim,
                               col(b_blk, d), vs);
       }
-      if (cfg_.blocked_momentum) {
-        k_op.apply_multi(vpu, u_blk, tmp_blk, fem::kDim, vs);
-        solver::vaxpy_multi(vpu, ones, tmp_blk, b_blk, fem::kDim, vs);
-        dtmass_op.apply_multi(vpu, u_blk, tmp_blk, fem::kDim, vs);
-        solver::vaxpy_multi(vpu, minus_ones, tmp_blk, b_blk, fem::kDim, vs);
+      if (cfg_.rcm_renumber) refresh_mom_perm(k_bc);
+      const solver::CsrMatrix& k_solve =
+          cfg_.rcm_renumber ? mom_perm_ : k_bc;
+      for (int d0 = 0; d0 < fem::kDim; d0 += group) {
+        const std::span<double> u = cols(u_blk, d0), tmp = cols(tmp_blk, d0);
+        const std::span<double> b = cols(b_blk, d0);
+        const std::span<double> ustar = cols(ustar_blk, d0);
+        k_op.apply_multi(vpu, u, tmp, group, vs);
+        solver::vaxpy_multi(vpu, ones_g, tmp, b, group, vs);
+        dtmass_op.apply_multi(vpu, u, tmp, group, vs);
+        solver::vaxpy_multi(vpu, minus_ones_g, tmp, b, group, vs);
         for (int n = 0; n < nn; ++n) {  // Dirichlet rows per component (host)
           if (!fixed[static_cast<std::size_t>(n)]) continue;
-          for (int d = 0; d < fem::kDim; ++d) {
+          for (int d = d0; d < d0 + group; ++d) {
             b_blk[static_cast<std::size_t>(d) * un +
                   static_cast<std::size_t>(n)] =
                 bc[static_cast<std::size_t>(n)][static_cast<std::size_t>(d)];
           }
         }
-        solver::vcopy_multi(vpu, u_blk, ustar_blk, fem::kDim, vs);
-        std::vector<solver::SolveReport> mreps;
+        solver::vcopy_multi(vpu, u, ustar, group, vs);
+        // with rcm, b/u* are marshalled into solve order around the solve
+        std::span<const double> b_solve = b;
+        std::span<double> x_solve = ustar;
         if (cfg_.rcm_renumber) {
-          refresh_mom_perm(k_bc);
-          for (int d = 0; d < fem::kDim; ++d) {
+          for (int d = d0; d < d0 + group; ++d) {
             to_solve_order(ccol(b_blk, d), col(bp_blk, d));
             to_solve_order(ccol(ustar_blk, d), col(xp_blk, d));
           }
-          mreps = solver::vbicgstab_multi(vpu, mom_perm_, bp_blk, xp_blk,
-                                          fem::kDim, cfg_.momentum, vs,
-                                          &momentum_ws, cfg_.format);
-          for (int d = 0; d < fem::kDim; ++d) {
-            from_solve_order(ccol(xp_blk, d), col(ustar_blk, d));
-          }
-        } else {
-          mreps = solver::vbicgstab_multi(vpu, k_bc, b_blk, ustar_blk,
-                                          fem::kDim, cfg_.momentum, vs,
-                                          &momentum_ws, cfg_.format);
+          b_solve = cols(bp_blk, d0);
+          x_solve = cols(xp_blk, d0);
         }
-        for (int d = 0; d < fem::kDim; ++d) {
-          rep.momentum[static_cast<std::size_t>(d)] =
-              std::move(mreps[static_cast<std::size_t>(d)]);
-          res.all_converged &=
-              rep.momentum[static_cast<std::size_t>(d)].converged;
-        }
-      } else {
-        if (cfg_.rcm_renumber) refresh_mom_perm(k_bc);
-        for (int d = 0; d < fem::kDim; ++d) {
-          k_op.apply(vpu, ccol(u_blk, d), col(tmp_blk, d), vs);
-          solver::vaxpy(vpu, 1.0, ccol(tmp_blk, d), col(b_blk, d), vs);
-          dtmass_op.apply(vpu, ccol(u_blk, d), col(tmp_blk, d), vs);
-          solver::vaxpy(vpu, -1.0, ccol(tmp_blk, d), col(b_blk, d), vs);
-          for (int n = 0; n < nn; ++n) {  // Dirichlet rows (host)
-            if (fixed[static_cast<std::size_t>(n)]) {
-              b_blk[static_cast<std::size_t>(d) * un +
-                    static_cast<std::size_t>(n)] =
-                  bc[static_cast<std::size_t>(n)]
-                    [static_cast<std::size_t>(d)];
-            }
-          }
-          solver::vcopy(vpu, ccol(u_blk, d), col(ustar_blk, d), vs);
+        std::vector<solver::SolveReport> mreps = solver::vbicgstab_multi(
+            vpu, k_solve, b_solve, x_solve, group, cfg_.momentum, vs,
+            &momentum_ws, cfg_.format);
+        for (int d = d0; d < d0 + group; ++d) {
           if (cfg_.rcm_renumber) {
-            to_solve_order(ccol(b_blk, d), col(bp_blk, d));
-            to_solve_order(ccol(ustar_blk, d), col(xp_blk, d));
-            rep.momentum[static_cast<std::size_t>(d)] = solver::vbicgstab(
-                vpu, mom_perm_, ccol(bp_blk, d), col(xp_blk, d),
-                cfg_.momentum, vs, &momentum_ws, cfg_.format);
             from_solve_order(ccol(xp_blk, d), col(ustar_blk, d));
-          } else {
-            rep.momentum[static_cast<std::size_t>(d)] = solver::vbicgstab(
-                vpu, k_bc, ccol(b_blk, d), col(ustar_blk, d), cfg_.momentum,
-                vs, &momentum_ws, cfg_.format);
           }
-          res.all_converged &=
-              rep.momentum[static_cast<std::size_t>(d)].converged;
+          solver::SolveReport& m = rep.momentum[static_cast<std::size_t>(d)];
+          m = std::move(mreps[static_cast<std::size_t>(d - d0)]);
+          res.all_converged &= m.converged;
         }
       }
     }
+
 
     // ---- phase 10: pressure-Poisson CG ----------------------------------
     for (int n = 0; n < nn; ++n) {
@@ -542,19 +528,12 @@ TimeLoopResult TimeLoop::run(sim::Vpu& vpu) {
         solver::vpack_strided(vpu, grad.data() + d, fem::kDim,
                               col(b_blk, d), vs);
       }
-      if (cfg_.blocked_momentum) {
-        // M_L⁻¹ Ĝφ for all components, one fused pass per kernel
-        solver::vjacobi_apply_multi(vpu, lumped_inv_, b_blk, tmp_blk,
-                                    fem::kDim, vs);
-        solver::vaxpy_multi(vpu, corr_scale, tmp_blk, ustar_blk, fem::kDim,
-                            vs);
-      } else {
-        for (int d = 0; d < fem::kDim; ++d) {
-          solver::vjacobi_apply(vpu, lumped_inv_, ccol(b_blk, d),
-                                col(tmp_blk, d), vs);  // M_L⁻¹ Ĝφ
-          solver::vaxpy(vpu, -1.0 / rho_dt, ccol(tmp_blk, d),
-                        col(ustar_blk, d), vs);
-        }
+      // M_L⁻¹ Ĝφ, one fused pass per kernel for each component group
+      for (int d0 = 0; d0 < fem::kDim; d0 += group) {
+        solver::vjacobi_apply_multi(vpu, lumped_inv_, cols(b_blk, d0),
+                                    cols(tmp_blk, d0), group, vs);
+        solver::vaxpy_multi(vpu, corr_scale_g, cols(tmp_blk, d0),
+                            cols(ustar_blk, d0), group, vs);
       }
     }
 

@@ -15,8 +15,9 @@
 //          components at once by Jacobi-preconditioned vbicgstab_multi,
 //          warm-started from uⁿ (DESIGN.md §5).  Per-column results are
 //          bit-for-bit those of the sequential per-component path, which
-//          stays available via TimeLoopConfig::blocked_momentum = false
-//          (the 9a–9c reference bench/multirhs_speedup compares against)
+//          TimeLoopConfig::blocked_momentum = false runs as the same code
+//          one component at a time (the 9a–9c reference
+//          bench/multirhs_speedup compares against)
 //   [10]   pressure-Poisson CG:  L φ = −(ρ/Δt)·D u*  on the SPD stiffness
 //          operator of fem/projection.h (vcg, pinned per the scenario)
 //   [11]   BLAS-1 velocity correction  uⁿ⁺¹_d = u*_d − (Δt/ρ)·M_L⁻¹(Ĝφ)_d
@@ -63,9 +64,10 @@ struct TimeLoopConfig {
                                 .rel_tolerance = 1e-10, .precond = {}};
   solver::SolveOptions pressure{.max_iterations = 1000,
                                 .rel_tolerance = 1e-10, .precond = {}};
-  /// Phase 9 path: true (default) runs the fused multi-RHS block solve
-  /// (vbicgstab_multi, shared operator slabs); false runs the sequential
-  /// per-component solves 9a–9c.  Both produce bit-identical fields and
+  /// Phase 9/11 path: true (default) runs the fused multi-RHS block solve
+  /// (vbicgstab_multi, shared operator slabs); false runs the same code on
+  /// one component at a time, the sequential per-component solves 9a–9c
+  /// (k = 1 blocks).  Both produce bit-identical fields and
   /// per-component reports — the flag exists for the co-design comparison
   /// (bench/multirhs_speedup) and equivalence tests.
   bool blocked_momentum = true;

@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "solver/bicgstab_recurrence.h"
 #include "solver/cg_recurrence.h"
 
 namespace vecfd::solver {
@@ -127,25 +128,6 @@ void apply_precond(const std::vector<double>& dinv,
   }
 }
 
-/// Breakdown exit (record_breakdown) with the host residual of @p r.
-SolveReport& breakdown_exit(SolveReport& rep, int it,
-                            std::span<const double> r, double bnorm,
-                            double rel_tolerance) {
-  return checked(record_breakdown(rep, it, norm2(r) / bnorm, rel_tolerance));
-}
-
-/// Failure exit (record_failure): the preconditioner could not be built,
-/// so the solve never ran.
-SolveReport& failure_exit(SolveReport& rep, const char* why,
-                          const CsrMatrix& a, std::span<const double> b,
-                          std::span<const double> x, double bnorm,
-                          double rel_tolerance) {
-  std::vector<double> r(b.size());
-  a.spmv(x, r);
-  for (std::size_t i = 0; i < b.size(); ++i) r[i] = b[i] - r[i];
-  return checked(record_failure(rep, why, norm2(r) / bnorm, rel_tolerance));
-}
-
 /// cg_recurrence's host space: plain loops over its own work vectors.
 struct HostSpace {
   const CsrMatrix& a;
@@ -193,6 +175,134 @@ struct HostSpace {
 
   SolveReport finish(SolveReport& rep) const { return checked(rep); }
 };
+
+/// bicgstab_recurrence's host space: plain loops, one column at a time.
+struct HostBlockSpace {
+  const CsrMatrix& a;
+  std::span<const double> b;
+  std::span<double> x;
+  int k;
+  std::vector<double> dinv{}, R{}, R0{}, P{}, V{}, S{}, T{}, Phat{}, Shat{};
+
+  HostScalar scalar() const { return {}; }
+  double norm2(std::span<const double> v) const { return solver::norm2(v); }
+  double dot(std::span<const double> u, std::span<const double> v) const {
+    return solver::dot(u, v);
+  }
+  void zero(std::span<double> v) const { std::fill(v.begin(), v.end(), 0.0); }
+  void copy(std::span<const double> src, std::span<double> dst) const {
+    std::copy(src.begin(), src.end(), dst.begin());
+  }
+  void axpy(double alpha, std::span<const double> v,
+            std::span<double> y) const {
+    solver::axpy(alpha, v, y);
+  }
+  void residual(std::span<const double> xd, std::span<const double> bd,
+                std::span<double> rd) const {
+    a.spmv(xd, rd);
+    for (std::size_t i = 0; i < rd.size(); ++i) rd[i] = bd[i] - rd[i];
+  }
+
+  void prepare() const {}
+  void setup_precond(const SolveOptions& opts) {
+    if (opts.jacobi_precondition) dinv = jacobi_inverse_diagonal(a);
+  }
+
+  /// Column @p d of a k-column block.
+  template <class Blk>
+  auto col(Blk&& blk, std::size_t d) const {
+    const std::size_t n = b.size() / static_cast<std::size_t>(k);
+    return std::span(blk).subspan(d * n, n);
+  }
+  /// fn(d) for every active column d.
+  template <class Fn>
+  void each(std::span<const char> active, Fn&& fn) const {
+    for (std::size_t d = 0; d < active.size(); ++d) {
+      if (active[d]) fn(d);
+    }
+  }
+
+  void residual_block(std::span<const char> active) {
+    each(active, [&](std::size_t d) {
+      residual(col(x, d), col(b, d), col(R, d));
+    });
+  }
+  void apply_block(std::span<const double> src, std::span<double> dst,
+                   std::span<const char> active) const {
+    each(active, [&](std::size_t d) { a.spmv(col(src, d), col(dst, d)); });
+  }
+  void precond_block(std::span<const double> src, std::span<double> dst,
+                     std::span<const char> active) const {
+    each(active, [&](std::size_t d) {
+      apply_precond(dinv, col(src, d), col(dst, d));
+    });
+  }
+  void copy_block(std::span<const double> src, std::span<double> dst,
+                  std::span<const char> active) const {
+    each(active, [&](std::size_t d) { copy(col(src, d), col(dst, d)); });
+  }
+  void dot_block(std::span<const double> u, std::span<const double> v,
+                 std::span<double> out, std::span<const char> active) const {
+    each(active,
+         [&](std::size_t d) { out[d] = solver::dot(col(u, d), col(v, d)); });
+  }
+  void axpby_block(std::span<const double> base, std::span<const double> scale,
+                   std::span<const double> scaled, std::span<double> out,
+                   std::span<const char> active) const {
+    each(active, [&](std::size_t d) {
+      const auto bd = col(base, d);
+      const auto sd = col(scaled, d);
+      const auto od = col(out, d);
+      for (std::size_t i = 0; i < od.size(); ++i) {
+        od[i] = bd[i] + scale[d] * sd[i];
+      }
+    });
+  }
+  void p_update_block(std::span<const double> beta,
+                      std::span<const double> omega,
+                      std::span<const char> restart,
+                      std::span<const char> active) {
+    each(active, [&](std::size_t d) {
+      const auto rd = col(R, d);
+      const auto vd = col(V, d);
+      const auto pd = col(P, d);
+      for (std::size_t i = 0; i < pd.size(); ++i) {
+        pd[i] = restart[d] ? rd[i]
+                           : rd[i] + beta[d] * (pd[i] - omega[d] * vd[i]);
+      }
+    });
+  }
+  void update_x(std::span<const double> alpha, std::span<const double> omega,
+                std::span<const char> active) {
+    each(active, [&](std::size_t d) {
+      const auto xd = col(x, d);
+      const auto ph = col(Phat, d);
+      const auto sh = col(Shat, d);
+      for (std::size_t i = 0; i < xd.size(); ++i) {
+        xd[i] += alpha[d] * ph[i] + omega[d] * sh[i];
+      }
+    });
+  }
+};
+
+/// Validates a k-column host BiCGStab call and runs the recurrence.
+std::vector<SolveReport> bicgstab_block(const CsrMatrix& a,
+                                        std::span<const double> b,
+                                        std::span<double> x, int k,
+                                        const SolveOptions& opts,
+                                        const char* who) {
+  if (k <= 0) {
+    throw std::invalid_argument(std::string(who) + ": k must be positive");
+  }
+  const std::size_t cells =
+      static_cast<std::size_t>(a.rows()) * static_cast<std::size_t>(k);
+  if (b.size() != cells || x.size() != cells) {
+    throw std::invalid_argument(std::string(who) + ": dimension mismatch");
+  }
+  require_jacobi_rung(opts, who);
+  HostBlockSpace sp{a, b, x, k};
+  return bicgstab_recurrence(sp, opts);
+}
 }  // namespace
 
 SolveReport cg(const CsrMatrix& a, std::span<const double> b,
@@ -207,286 +317,14 @@ SolveReport cg(const CsrMatrix& a, std::span<const double> b,
 
 SolveReport bicgstab(const CsrMatrix& a, std::span<const double> b,
                      std::span<double> x, const SolveOptions& opts) {
-  const std::size_t n = b.size();
-  if (static_cast<int>(n) != a.rows() || x.size() != n) {
-    throw std::invalid_argument("bicgstab: dimension mismatch");
-  }
-  require_jacobi_rung(opts, "bicgstab");
-  SolveReport rep;
-  const double bnorm = norm2(b);
-  if (bnorm == 0.0) {
-    std::fill(x.begin(), x.end(), 0.0);
-    rep.converged = true;
-    rep.history.push_back(0.0);
-    return checked(rep);
-  }
-  std::vector<double> dinv;
-  if (opts.jacobi_precondition) {
-    try {
-      dinv = jacobi_inverse_diagonal(a);
-    } catch (const std::runtime_error& e) {
-      return checked(
-          failure_exit(rep, e.what(), a, b, x, bnorm, opts.rel_tolerance));
-    }
-  }
-
-  std::vector<double> r(n), r0(n), p(n, 0.0), v(n, 0.0), s(n), t(n);
-  std::vector<double> phat(n), shat(n);
-  a.spmv(x, r);
-  for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - r[i];
-  const double rel0 = norm2(r) / bnorm;
-  rep.residual = rel0;
-  rep.history.push_back(rel0);
-  if (rel0 < opts.rel_tolerance) {
-    rep.converged = true;
-    return checked(rep);
-  }
-  r0 = r;
-  double rho = 1.0;
-  double alpha = 1.0;
-  double omega = 1.0;
-
-  for (int it = 0; it < opts.max_iterations; ++it) {
-    double rho_new = dot(r0, r);
-    bool restart = it == 0;
-    if (rho_new == 0.0) {
-      // serious breakdown: the shadow residual became orthogonal to r
-      // (common when Dirichlet rows decouple); restart with r0 = r.
-      r0 = r;
-      rho_new = dot(r, r);
-      if (rho_new == 0.0) {
-        // r is exactly zero: the iterate is an exact solution.
-        return checked(breakdown_exit(rep, it, r, bnorm, opts.rel_tolerance));
-      }
-      restart = true;
-    }
-    if (restart) {
-      p = r;
-    } else {
-      const double beta = (rho_new / rho) * (alpha / omega);
-      for (std::size_t i = 0; i < n; ++i) {
-        p[i] = r[i] + beta * (p[i] - omega * v[i]);
-      }
-    }
-    rho = rho_new;
-    apply_precond(dinv, p, phat);
-    a.spmv(phat, v);
-    const double r0v = dot(r0, v);
-    if (r0v == 0.0) {
-      return checked(breakdown_exit(rep, it, r, bnorm, opts.rel_tolerance));
-    }
-    alpha = rho / r0v;
-    for (std::size_t i = 0; i < n; ++i) s[i] = r[i] - alpha * v[i];
-    if (norm2(s) / bnorm < opts.rel_tolerance) {
-      axpy(alpha, phat, x);
-      rep.iterations = it + 1;
-      rep.residual = norm2(s) / bnorm;
-      rep.history.push_back(rep.residual);
-      rep.converged = true;
-      return checked(rep);
-    }
-    apply_precond(dinv, s, shat);
-    a.spmv(shat, t);
-    const double tt = dot(t, t);
-    if (tt == 0.0) {
-      // Apply the valid half-step so x is consistent with the reported
-      // residual s = b - A·(x + α·p̂).
-      axpy(alpha, phat, x);
-      return checked(breakdown_exit(rep, it, s, bnorm, opts.rel_tolerance));
-    }
-    omega = dot(t, s) / tt;
-    for (std::size_t i = 0; i < n; ++i) {
-      x[i] += alpha * phat[i] + omega * shat[i];
-      r[i] = s[i] - omega * t[i];
-    }
-    const double rel = norm2(r) / bnorm;
-    rep.history.push_back(rel);
-    rep.iterations = it + 1;
-    rep.residual = rel;
-    if (rel < opts.rel_tolerance) {
-      rep.converged = true;
-      return checked(rep);
-    }
-    // ω = 0 is a breakdown, but x, residual and history were just updated
-    // above, so the exit already satisfies the reporting contract.
-    if (omega == 0.0) break;
-  }
-  return checked(rep);
+  return checked(bicgstab_block(a, b, x, 1, opts, "bicgstab").front());
 }
 
 std::vector<SolveReport> bicgstab_multi(const CsrMatrix& a,
                                         std::span<const double> b,
                                         std::span<double> x, int k,
                                         const SolveOptions& opts) {
-  if (k <= 0) {
-    throw std::invalid_argument("bicgstab_multi: k must be positive");
-  }
-  const std::size_t n = static_cast<std::size_t>(a.rows());
-  if (b.size() != n * static_cast<std::size_t>(k) || x.size() != b.size()) {
-    throw std::invalid_argument("bicgstab_multi: dimension mismatch");
-  }
-  require_jacobi_rung(opts, "bicgstab_multi");
-  auto ccol = [n](std::span<const double> blk, int d) {
-    return blk.subspan(static_cast<std::size_t>(d) * n, n);
-  };
-  auto mcol = [n](std::span<double> blk, int d) {
-    return blk.subspan(static_cast<std::size_t>(d) * n, n);
-  };
-
-  std::vector<SolveReport> reps(static_cast<std::size_t>(k));
-  std::vector<char> active(static_cast<std::size_t>(k), 0);
-  std::vector<double> bnorm(static_cast<std::size_t>(k), 0.0);
-  std::vector<double> rho(static_cast<std::size_t>(k), 1.0);
-  std::vector<double> alpha(static_cast<std::size_t>(k), 1.0);
-  std::vector<double> omega(static_cast<std::size_t>(k), 1.0);
-  int remaining = 0;
-
-  std::vector<double> dinv;
-  if (opts.jacobi_precondition) {
-    try {
-      dinv = jacobi_inverse_diagonal(a);
-    } catch (const std::runtime_error& e) {
-      // every non-trivial column fails identically; zero-RHS columns keep
-      // their ordinary exit (they never needed the preconditioner)
-      for (int d = 0; d < k; ++d) {
-        SolveReport& rep = reps[static_cast<std::size_t>(d)];
-        auto xd = mcol(x, d);
-        const double bn = norm2(ccol(b, d));
-        if (bn == 0.0) {
-          std::fill(xd.begin(), xd.end(), 0.0);
-          rep.converged = true;
-          rep.history.push_back(0.0);
-        } else {
-          failure_exit(rep, e.what(), a, ccol(b, d), xd, bn,
-                       opts.rel_tolerance);
-        }
-      }
-      return checked(reps);
-    }
-  }
-
-  const std::size_t cells = n * static_cast<std::size_t>(k);
-  std::vector<double> R(cells, 0.0), R0(cells, 0.0), P(cells, 0.0);
-  std::vector<double> V(cells, 0.0), S(cells, 0.0), T(cells, 0.0);
-  std::vector<double> Phat(cells, 0.0), Shat(cells, 0.0);
-
-  for (int d = 0; d < k; ++d) {
-    const std::size_t ud = static_cast<std::size_t>(d);
-    SolveReport& rep = reps[ud];
-    auto xd = mcol(x, d);
-    bnorm[ud] = norm2(ccol(b, d));
-    if (bnorm[ud] == 0.0) {
-      std::fill(xd.begin(), xd.end(), 0.0);
-      rep.converged = true;
-      rep.history.push_back(0.0);
-      continue;
-    }
-    auto rd = mcol(R, d);
-    a.spmv(xd, rd);
-    const auto bd = ccol(b, d);
-    for (std::size_t i = 0; i < n; ++i) rd[i] = bd[i] - rd[i];
-    const double rel0 = norm2(rd) / bnorm[ud];
-    rep.residual = rel0;
-    rep.history.push_back(rel0);
-    if (rel0 < opts.rel_tolerance) {
-      rep.converged = true;
-      continue;
-    }
-    std::copy(rd.begin(), rd.end(), mcol(R0, d).begin());
-    active[ud] = 1;
-    ++remaining;
-  }
-
-  auto retire = [&](int d) {
-    active[static_cast<std::size_t>(d)] = 0;
-    --remaining;
-  };
-  auto column_breakdown = [&](int d, int it, std::span<const double> res) {
-    breakdown_exit(reps[static_cast<std::size_t>(d)], it, res,
-                   bnorm[static_cast<std::size_t>(d)], opts.rel_tolerance);
-    retire(d);
-  };
-
-  for (int it = 0; it < opts.max_iterations && remaining > 0; ++it) {
-    for (int d = 0; d < k; ++d) {
-      const std::size_t ud = static_cast<std::size_t>(d);
-      if (!active[ud]) continue;
-      SolveReport& rep = reps[ud];
-      auto xd = mcol(x, d);
-      auto rd = mcol(R, d);
-      auto r0d = mcol(R0, d);
-      auto pd = mcol(P, d);
-      auto vd = mcol(V, d);
-      auto sd = mcol(S, d);
-      auto td = mcol(T, d);
-      auto phatd = mcol(Phat, d);
-      auto shatd = mcol(Shat, d);
-
-      double rho_new = dot(r0d, rd);
-      bool restart = it == 0;
-      if (rho_new == 0.0) {
-        // serious breakdown: restart with r0 = r (see bicgstab above)
-        std::copy(rd.begin(), rd.end(), r0d.begin());
-        rho_new = dot(rd, rd);
-        if (rho_new == 0.0) {
-          column_breakdown(d, it, rd);
-          continue;
-        }
-        restart = true;
-      }
-      if (restart) {
-        std::copy(rd.begin(), rd.end(), pd.begin());
-      } else {
-        const double beta = (rho_new / rho[ud]) * (alpha[ud] / omega[ud]);
-        for (std::size_t i = 0; i < n; ++i) {
-          pd[i] = rd[i] + beta * (pd[i] - omega[ud] * vd[i]);
-        }
-      }
-      rho[ud] = rho_new;
-      apply_precond(dinv, pd, phatd);
-      a.spmv(phatd, vd);
-      const double r0v = dot(r0d, vd);
-      if (r0v == 0.0) {
-        column_breakdown(d, it, rd);
-        continue;
-      }
-      alpha[ud] = rho[ud] / r0v;
-      for (std::size_t i = 0; i < n; ++i) sd[i] = rd[i] - alpha[ud] * vd[i];
-      if (norm2(sd) / bnorm[ud] < opts.rel_tolerance) {
-        axpy(alpha[ud], phatd, xd);
-        rep.iterations = it + 1;
-        rep.residual = norm2(sd) / bnorm[ud];
-        rep.history.push_back(rep.residual);
-        rep.converged = true;
-        retire(d);
-        continue;
-      }
-      apply_precond(dinv, sd, shatd);
-      a.spmv(shatd, td);
-      const double tt = dot(td, td);
-      if (tt == 0.0) {
-        axpy(alpha[ud], phatd, xd);  // valid half-step (see bicgstab above)
-        column_breakdown(d, it, sd);
-        continue;
-      }
-      omega[ud] = dot(td, sd) / tt;
-      for (std::size_t i = 0; i < n; ++i) {
-        xd[i] += alpha[ud] * phatd[i] + omega[ud] * shatd[i];
-        rd[i] = sd[i] - omega[ud] * td[i];
-      }
-      const double rel = norm2(rd) / bnorm[ud];
-      rep.history.push_back(rel);
-      rep.iterations = it + 1;
-      rep.residual = rel;
-      if (rel < opts.rel_tolerance) {
-        rep.converged = true;
-        retire(d);
-        continue;
-      }
-      if (omega[ud] == 0.0) retire(d);  // ω breakdown: already reported
-    }
-  }
-  return checked(reps);
+  return bicgstab_block(a, b, x, k, opts, "bicgstab_multi");
 }
 
 }  // namespace vecfd::solver

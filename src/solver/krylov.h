@@ -146,7 +146,7 @@ SolveReport cg(const CsrMatrix& a, std::span<const double> b,
                std::span<double> x, const SolveOptions& opts = {});
 
 /// BiCGStab — for the nonsymmetric semi-implicit momentum operator
-/// (convection makes it non-self-adjoint).
+/// (convection makes it non-self-adjoint).  bicgstab_multi at k = 1.
 SolveReport bicgstab(const CsrMatrix& a, std::span<const double> b,
                      std::span<double> x, const SolveOptions& opts = {});
 
@@ -155,10 +155,11 @@ SolveReport bicgstab(const CsrMatrix& a, std::span<const double> b,
 /// [d·n, (d+1)·n)); the k recurrences are mathematically independent and
 /// advanced in lockstep, each with its own Krylov scalars and its own
 /// convergence / breakdown lifecycle, so column d returns bit-for-bit the
-/// iterate a standalone `bicgstab(a, b_d, x_d)` would — the host reference
-/// `vbicgstab_multi` (solver/vkernels.h) mirrors step for step.  A column
-/// that converges or breaks down is masked out of all further work.  One
-/// SolveReport per column, each honouring the full contract above.
+/// iterate `bicgstab(a, b_d, x_d)` would.  The recurrence is the one of
+/// solver/bicgstab_recurrence.h, which `vbicgstab_multi`
+/// (solver/vkernels.h) runs on a Vpu.  A column that converges or breaks
+/// down is masked out of all further work.  One SolveReport per column,
+/// each honouring the full contract above.
 std::vector<SolveReport> bicgstab_multi(const CsrMatrix& a,
                                         std::span<const double> b,
                                         std::span<double> x, int k,

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "solver/bicgstab_recurrence.h"
 #include "solver/cg_recurrence.h"
 #include "solver/preconditioner.h"
 
@@ -85,29 +86,6 @@ void bicgstab_p_update(sim::Vpu& vpu, std::span<const double> r, double beta,
 int mirror_slice_height(int strip, const sim::MachineConfig& m) {
   const int eff = solve_effective_strip(strip, m);
   return eff > 0 ? eff : 64;
-}
-
-/// Breakdown exit (record_breakdown), residual computed through the Vpu
-/// so the exit stays instrumented.
-SolveReport& vbreakdown_exit(sim::Vpu& vpu, SolveReport& rep, int it,
-                             std::span<const double> r, double bnorm,
-                             const SolveOptions& opts, int strip) {
-  return checked(record_breakdown(
-      rep, it, vpu.sdiv(vnorm2(vpu, r, strip), bnorm), opts.rel_tolerance));
-}
-
-/// Instrumented failure exit (SolveReport::failure, see krylov.h): the
-/// preconditioner could not be built, the solve never ran, x is untouched.
-/// The true residual of that iterate is computed through the Vpu so even
-/// the failure path stays counter-priced; @p r is workspace scratch.
-SolveReport& vfailure_exit(sim::Vpu& vpu, SolveReport& rep, const char* why,
-                           const OperatorMirror& op, std::span<const double> b,
-                           std::span<const double> x, std::span<double> r,
-                           double bnorm, const SolveOptions& opts, int strip) {
-  op.apply(vpu, x, r, strip);
-  vsub(vpu, b, r, r, strip);
-  const double rel0 = vpu.sdiv(vnorm2(vpu, r, strip), bnorm);
-  return checked(record_failure(rep, why, rel0, opts.rel_tolerance));
 }
 
 }  // namespace
@@ -926,123 +904,119 @@ SolveReport vcg(sim::Vpu& vpu, const CsrMatrix& a, std::span<const double> b,
   return cg_recurrence(sp, opts);
 }
 
+namespace {
+
+/// The single-Vpu execution space of bicgstab_recurrence: k columns on one
+/// Vpu, the block operations issued through the fused multi kernels (which
+/// degrade to the single-RHS kernels at k = 1 and on scalar machines).
+struct VpuBlockSpace {
+  sim::Vpu& vpu;
+  const CsrMatrix& a;
+  std::span<const double> b;
+  std::span<double> x;
+  int k;
+  int strip;
+  KrylovWorkspace& ws;
+  SpmvFormat format;
+  std::vector<double>&R = ws.r, &R0 = ws.z, &P = ws.p, &V = ws.q;
+  std::vector<double>&S = ws.s, &T = ws.t, &Phat = ws.u, &Shat = ws.w;
+
+  sim::Vpu& scalar() { return vpu; }
+  double norm2(std::span<const double> v) { return vnorm2(vpu, v, strip); }
+  double dot(std::span<const double> u, std::span<const double> v) {
+    return vdot(vpu, u, v, strip);
+  }
+  void zero(std::span<double> v) { vfill(vpu, v, 0.0, strip); }
+  void copy(std::span<const double> src, std::span<double> dst) {
+    vcopy(vpu, src, dst, strip);
+  }
+  void axpy(double alpha, std::span<const double> v, std::span<double> y) {
+    vaxpy(vpu, alpha, v, y, strip);
+  }
+  void residual(std::span<const double> xd, std::span<const double> bd,
+                std::span<double> rd) {
+    ws.op.apply(vpu, xd, rd, strip);
+    vsub(vpu, bd, rd, rd, strip);
+  }
+
+  void prepare() {
+    ws.op.assign(a, format, mirror_slice_height(strip, vpu.config()));
+  }
+  void setup_precond(const SolveOptions& opts) {
+    if (opts.jacobi_precondition) {
+      jacobi_inverse_diagonal_into(a, ws.dinv);
+    } else {
+      ws.dinv.clear();
+    }
+  }
+
+  void residual_block(std::span<const char> active) {
+    ws.op.apply_multi(vpu, x, R, k, strip, active);
+    vsub_multi(vpu, b, R, R, k, strip, active);
+  }
+  void apply_block(std::span<const double> src, std::span<double> dst,
+                   std::span<const char> active) {
+    ws.op.apply_multi(vpu, src, dst, k, strip, active);
+  }
+  void precond_block(std::span<const double> src, std::span<double> dst,
+                     std::span<const char> active) {
+    vjacobi_apply_multi(vpu, ws.dinv, src, dst, k, strip, active);
+  }
+  void copy_block(std::span<const double> src, std::span<double> dst,
+                  std::span<const char> active) {
+    vcopy_multi(vpu, src, dst, k, strip, active);
+  }
+  void dot_block(std::span<const double> u, std::span<const double> v,
+                 std::span<double> out, std::span<const char> active) {
+    vdot_multi(vpu, u, v, k, out, strip, active);
+  }
+  void axpby_block(std::span<const double> base, std::span<const double> scale,
+                   std::span<const double> scaled, std::span<double> out,
+                   std::span<const char> active) {
+    axpby_into_multi(vpu, base, scale, scaled, out, k, strip, active);
+  }
+  void p_update_block(std::span<const double> beta,
+                      std::span<const double> omega,
+                      std::span<const char> restart,
+                      std::span<const char> active) {
+    bicgstab_p_update_multi(vpu, R, beta, omega, V, P, k, restart, strip,
+                            active);
+  }
+  void update_x(std::span<const double> alpha, std::span<const double> omega,
+                std::span<const char> active) {
+    vaxpy_multi(vpu, alpha, Phat, x, k, strip, active);
+    vaxpy_multi(vpu, omega, Shat, x, k, strip, active);
+  }
+};
+
+std::vector<SolveReport> vbicgstab_block(
+    sim::Vpu& vpu, const CsrMatrix& a, std::span<const double> b,
+    std::span<double> x, int k, const SolveOptions& opts, int strip,
+    KrylovWorkspace* ws, SpmvFormat format, const char* who) {
+  if (k <= 0) {
+    throw std::invalid_argument(std::string(who) + ": k must be positive");
+  }
+  const std::size_t cells =
+      static_cast<std::size_t>(a.rows()) * static_cast<std::size_t>(k);
+  if (b.size() != cells || x.size() != cells) {
+    throw std::invalid_argument(std::string(who) + ": dimension mismatch");
+  }
+  require_jacobi_rung(opts, who);
+  KrylovWorkspace local;
+  VpuBlockSpace sp{vpu, a, b, x, k, strip, ws != nullptr ? *ws : local,
+                   format};
+  return bicgstab_recurrence(sp, opts);
+}
+
+}  // namespace
+
 SolveReport vbicgstab(sim::Vpu& vpu, const CsrMatrix& a,
                       std::span<const double> b, std::span<double> x,
                       const SolveOptions& opts, int strip,
                       KrylovWorkspace* ws, SpmvFormat format) {
-  const std::size_t n = b.size();
-  if (static_cast<int>(n) != a.rows() || x.size() != n) {
-    throw std::invalid_argument("vbicgstab: dimension mismatch");
-  }
-  require_jacobi_rung(opts, "vbicgstab");
-  SolveReport rep;
-  const double bnorm = vnorm2(vpu, b, strip);
-  if (bnorm == 0.0) {
-    vfill(vpu, x, 0.0, strip);
-    rep.converged = true;
-    rep.history.push_back(0.0);
-    return checked(rep);
-  }
-  KrylovWorkspace local;
-  if (ws == nullptr) ws = &local;
-  ws->op.assign(a, format, mirror_slice_height(strip, vpu.config()));
-  const OperatorMirror& op = ws->op;
-
-  std::vector<double>&r = ws->r, &r0 = ws->z, &p = ws->p, &v = ws->q;
-  std::vector<double>&s = ws->s, &t = ws->t, &phat = ws->u, &shat = ws->w;
-  r.assign(n, 0.0);
-  r0.assign(n, 0.0);
-  p.assign(n, 0.0);
-  v.assign(n, 0.0);
-  s.assign(n, 0.0);
-  t.assign(n, 0.0);
-  phat.assign(n, 0.0);
-  shat.assign(n, 0.0);
-  std::vector<double>& dinv = ws->dinv;
-  if (opts.jacobi_precondition) {
-    try {
-      jacobi_inverse_diagonal_into(a, dinv);
-    } catch (const std::runtime_error& e) {
-      return checked(
-          vfailure_exit(vpu, rep, e.what(), op, b, x, r, bnorm, opts, strip));
-    }
-  } else {
-    dinv.clear();
-  }
-  op.apply(vpu, x, r, strip);
-  vsub(vpu, b, r, r, strip);
-  const double rel0 = vpu.sdiv(vnorm2(vpu, r, strip), bnorm);
-  rep.residual = rel0;
-  rep.history.push_back(rel0);
-  if (rel0 < opts.rel_tolerance) {
-    rep.converged = true;
-    return checked(rep);
-  }
-  vcopy(vpu, r, r0, strip);
-  double rho = 1.0;
-  double alpha = 1.0;
-  double omega = 1.0;
-
-  for (int it = 0; it < opts.max_iterations; ++it) {
-    double rho_new = vdot(vpu, r0, r, strip);
-    bool restart = it == 0;
-    if (rho_new == 0.0) {
-      // serious breakdown: restart with r0 = r (see krylov.cpp)
-      vcopy(vpu, r, r0, strip);
-      rho_new = vdot(vpu, r, r, strip);
-      if (rho_new == 0.0) {
-        return checked(vbreakdown_exit(vpu, rep, it, r, bnorm, opts, strip));
-      }
-      restart = true;
-    }
-    if (restart) {
-      vcopy(vpu, r, p, strip);
-    } else {
-      const double beta =
-          vpu.smul(vpu.sdiv(rho_new, rho), vpu.sdiv(alpha, omega));
-      bicgstab_p_update(vpu, r, beta, omega, v, p, strip);
-    }
-    rho = rho_new;
-    vjacobi_apply(vpu, dinv, p, phat, strip);
-    op.apply(vpu, phat, v, strip);
-    const double r0v = vdot(vpu, r0, v, strip);
-    if (r0v == 0.0) {
-      return checked(vbreakdown_exit(vpu, rep, it, r, bnorm, opts, strip));
-    }
-    alpha = vpu.sdiv(rho, r0v);
-    axpby_into(vpu, r, -alpha, v, s, strip);
-    const double srel = vpu.sdiv(vnorm2(vpu, s, strip), bnorm);
-    if (srel < opts.rel_tolerance) {
-      vaxpy(vpu, alpha, phat, x, strip);
-      rep.iterations = it + 1;
-      rep.residual = srel;
-      rep.history.push_back(srel);
-      rep.converged = true;
-      return checked(rep);
-    }
-    vjacobi_apply(vpu, dinv, s, shat, strip);
-    op.apply(vpu, shat, t, strip);
-    const double tt = vdot(vpu, t, t, strip);
-    if (tt == 0.0) {
-      // apply the valid half-step so x matches the reported residual s
-      vaxpy(vpu, alpha, phat, x, strip);
-      return checked(vbreakdown_exit(vpu, rep, it, s, bnorm, opts, strip));
-    }
-    omega = vpu.sdiv(vdot(vpu, t, s, strip), tt);
-    vaxpy(vpu, alpha, phat, x, strip);
-    vaxpy(vpu, omega, shat, x, strip);
-    axpby_into(vpu, s, -omega, t, r, strip);
-    const double rel = vpu.sdiv(vnorm2(vpu, r, strip), bnorm);
-    rep.history.push_back(rel);
-    rep.iterations = it + 1;
-    rep.residual = rel;
-    if (rel < opts.rel_tolerance) {
-      rep.converged = true;
-      return checked(rep);
-    }
-    if (omega == 0.0) break;
-  }
-  return checked(rep);
+  return checked(vbicgstab_block(vpu, a, b, x, 1, opts, strip, ws, format,
+                                 "vbicgstab")
+                     .front());
 }
 
 std::vector<SolveReport> vbicgstab_multi(sim::Vpu& vpu, const CsrMatrix& a,
@@ -1051,206 +1025,8 @@ std::vector<SolveReport> vbicgstab_multi(sim::Vpu& vpu, const CsrMatrix& a,
                                          const SolveOptions& opts, int strip,
                                          KrylovWorkspace* ws,
                                          SpmvFormat format) {
-  if (k <= 0) {
-    throw std::invalid_argument("vbicgstab_multi: k must be positive");
-  }
-  const std::size_t n = static_cast<std::size_t>(a.rows());
-  const std::size_t cells = n * static_cast<std::size_t>(k);
-  if (b.size() != cells || x.size() != cells) {
-    throw std::invalid_argument("vbicgstab_multi: dimension mismatch");
-  }
-  require_jacobi_rung(opts, "vbicgstab_multi");
-  auto bcol = [&](int d) {
-    return b.subspan(static_cast<std::size_t>(d) * n, n);
-  };
-  auto xcol = [&](int d) {
-    return x.subspan(static_cast<std::size_t>(d) * n, n);
-  };
-  auto ccol = [&](const std::vector<double>& blk, int d) {
-    return std::span<const double>(blk).subspan(
-        static_cast<std::size_t>(d) * n, n);
-  };
-  auto mcol = [&](std::vector<double>& blk, int d) {
-    return std::span<double>(blk).subspan(static_cast<std::size_t>(d) * n, n);
-  };
-
-  const std::size_t uk = static_cast<std::size_t>(k);
-  std::vector<SolveReport> reps(uk);
-  std::vector<char> active(uk, 0);
-  std::vector<char> restart(uk, 0);
-  std::vector<double> bnorm(uk, 0.0), rho(uk, 1.0), alpha(uk, 1.0);
-  std::vector<double> omega(uk, 1.0), scal(uk, 0.0), ts(uk, 0.0);
-  std::vector<double> beta(uk, 0.0), negscale(uk, 0.0);
-  int remaining = 0;
-
-  for (int d = 0; d < k; ++d) {
-    bnorm[static_cast<std::size_t>(d)] = vnorm2(vpu, bcol(d), strip);
-    if (bnorm[static_cast<std::size_t>(d)] == 0.0) {
-      vfill(vpu, xcol(d), 0.0, strip);
-      reps[static_cast<std::size_t>(d)].converged = true;
-      reps[static_cast<std::size_t>(d)].history.push_back(0.0);
-    } else {
-      active[static_cast<std::size_t>(d)] = 1;
-      ++remaining;
-    }
-  }
-  if (remaining == 0) return checked(reps);
-
-  KrylovWorkspace local;
-  if (ws == nullptr) ws = &local;
-  ws->op.assign(a, format, mirror_slice_height(strip, vpu.config()));
-  const OperatorMirror& op = ws->op;
-
-  std::vector<double>&R = ws->r, &R0 = ws->z, &P = ws->p, &V = ws->q;
-  std::vector<double>&S = ws->s, &T = ws->t, &Phat = ws->u, &Shat = ws->w;
-  std::vector<double>& dinv = ws->dinv;
-  if (opts.jacobi_precondition) {
-    try {
-      jacobi_inverse_diagonal_into(a, dinv);
-    } catch (const std::runtime_error& e) {
-      // per-column instrumented failure exits; zero-RHS columns already
-      // took their ordinary exit above
-      R.assign(cells, 0.0);
-      for (int d = 0; d < k; ++d) {
-        const std::size_t ud = static_cast<std::size_t>(d);
-        if (!active[ud]) continue;
-        vfailure_exit(vpu, reps[ud], e.what(), op, bcol(d), xcol(d),
-                      mcol(R, d), bnorm[ud], opts, strip);
-      }
-      return checked(reps);
-    }
-  } else {
-    dinv.clear();
-  }
-  R.assign(cells, 0.0);
-  R0.assign(cells, 0.0);
-  P.assign(cells, 0.0);
-  V.assign(cells, 0.0);
-  S.assign(cells, 0.0);
-  T.assign(cells, 0.0);
-  Phat.assign(cells, 0.0);
-  Shat.assign(cells, 0.0);
-
-  auto retire = [&](int d) {
-    active[static_cast<std::size_t>(d)] = 0;
-    --remaining;
-  };
-
-  op.apply_multi(vpu, x, R, k, strip, active);
-  vsub_multi(vpu, b, R, R, k, strip, active);
-  for (int d = 0; d < k; ++d) {
-    const std::size_t ud = static_cast<std::size_t>(d);
-    if (!active[ud]) continue;
-    const double rel0 = vpu.sdiv(vnorm2(vpu, ccol(R, d), strip), bnorm[ud]);
-    reps[ud].residual = rel0;
-    reps[ud].history.push_back(rel0);
-    if (rel0 < opts.rel_tolerance) {
-      reps[ud].converged = true;
-      retire(d);
-    }
-  }
-  if (remaining > 0) vcopy_multi(vpu, R, R0, k, strip, active);
-
-  auto column_breakdown = [&](int d, int it, std::span<const double> res) {
-    vbreakdown_exit(vpu, reps[static_cast<std::size_t>(d)], it, res,
-                    bnorm[static_cast<std::size_t>(d)], opts, strip);
-    retire(d);
-  };
-
-  for (int it = 0; it < opts.max_iterations && remaining > 0; ++it) {
-    vdot_multi(vpu, R0, R, k, scal, strip, active);  // per-column ρ
-    for (int d = 0; d < k; ++d) {
-      const std::size_t ud = static_cast<std::size_t>(d);
-      if (!active[ud]) continue;
-      restart[ud] = it == 0 ? 1 : 0;
-      if (scal[ud] == 0.0) {
-        // serious breakdown in column d: restart with r0 = r (see krylov.cpp)
-        vcopy(vpu, ccol(R, d), mcol(R0, d), strip);
-        scal[ud] = vdot(vpu, ccol(R, d), ccol(R, d), strip);
-        if (scal[ud] == 0.0) {
-          column_breakdown(d, it, ccol(R, d));
-          continue;
-        }
-        restart[ud] = 1;
-      }
-      if (!restart[ud]) {
-        beta[ud] = vpu.smul(vpu.sdiv(scal[ud], rho[ud]),
-                            vpu.sdiv(alpha[ud], omega[ud]));
-      }
-      rho[ud] = scal[ud];
-    }
-    if (remaining == 0) break;
-    bicgstab_p_update_multi(vpu, R, beta, omega, V, P, k, restart, strip,
-                            active);
-    vjacobi_apply_multi(vpu, dinv, P, Phat, k, strip, active);
-    op.apply_multi(vpu, Phat, V, k, strip, active);
-    vdot_multi(vpu, R0, V, k, scal, strip, active);  // per-column r₀·v
-    for (int d = 0; d < k; ++d) {
-      const std::size_t ud = static_cast<std::size_t>(d);
-      if (!active[ud]) continue;
-      if (scal[ud] == 0.0) {
-        column_breakdown(d, it, ccol(R, d));
-        continue;
-      }
-      alpha[ud] = vpu.sdiv(rho[ud], scal[ud]);
-      negscale[ud] = -alpha[ud];
-    }
-    if (remaining == 0) break;
-    axpby_into_multi(vpu, R, negscale, V, S, k, strip, active);  // s = r − αv
-    for (int d = 0; d < k; ++d) {
-      const std::size_t ud = static_cast<std::size_t>(d);
-      if (!active[ud]) continue;
-      const double srel =
-          vpu.sdiv(vnorm2(vpu, ccol(S, d), strip), bnorm[ud]);
-      if (srel < opts.rel_tolerance) {
-        vaxpy(vpu, alpha[ud], ccol(Phat, d), xcol(d), strip);
-        reps[ud].iterations = it + 1;
-        reps[ud].residual = srel;
-        reps[ud].history.push_back(srel);
-        reps[ud].converged = true;
-        retire(d);
-      }
-    }
-    if (remaining == 0) break;
-    vjacobi_apply_multi(vpu, dinv, S, Shat, k, strip, active);
-    op.apply_multi(vpu, Shat, T, k, strip, active);
-    vdot_multi(vpu, T, T, k, scal, strip, active);  // per-column t·t
-    for (int d = 0; d < k; ++d) {
-      const std::size_t ud = static_cast<std::size_t>(d);
-      if (!active[ud]) continue;
-      if (scal[ud] == 0.0) {
-        // apply the valid half-step so x matches the reported residual s
-        vaxpy(vpu, alpha[ud], ccol(Phat, d), xcol(d), strip);
-        column_breakdown(d, it, ccol(S, d));
-      }
-    }
-    if (remaining == 0) break;
-    vdot_multi(vpu, T, S, k, ts, strip, active);
-    for (int d = 0; d < k; ++d) {
-      const std::size_t ud = static_cast<std::size_t>(d);
-      if (!active[ud]) continue;
-      omega[ud] = vpu.sdiv(ts[ud], scal[ud]);
-      negscale[ud] = -omega[ud];
-    }
-    vaxpy_multi(vpu, alpha, Phat, x, k, strip, active);
-    vaxpy_multi(vpu, omega, Shat, x, k, strip, active);
-    axpby_into_multi(vpu, S, negscale, T, R, k, strip, active);  // r = s − ωt
-    for (int d = 0; d < k; ++d) {
-      const std::size_t ud = static_cast<std::size_t>(d);
-      if (!active[ud]) continue;
-      const double rel = vpu.sdiv(vnorm2(vpu, ccol(R, d), strip), bnorm[ud]);
-      reps[ud].history.push_back(rel);
-      reps[ud].iterations = it + 1;
-      reps[ud].residual = rel;
-      if (rel < opts.rel_tolerance) {
-        reps[ud].converged = true;
-        retire(d);
-        continue;
-      }
-      if (omega[ud] == 0.0) retire(d);  // ω breakdown: already reported
-    }
-  }
-  return checked(reps);
+  return vbicgstab_block(vpu, a, b, x, k, opts, strip, ws, format,
+                         "vbicgstab_multi");
 }
 
 }  // namespace vecfd::solver

@@ -16,9 +16,11 @@
 //   * The BLAS-1 kernels (dot, norm2, axpy, ...) strip-mine the same way.
 //   * vcg runs the one CG recurrence of solver/cg_recurrence.h (shared
 //     with the host cg and the sharded solver::ShardedCg) on a single Vpu;
-//     vbicgstab mirrors the host bicgstab step for step (including the
-//     breakdown-reporting contract of krylov.h); both agree with the host
-//     solvers to solver tolerance.
+//     vbicgstab_multi runs the one BiCGStab recurrence of
+//     solver/bicgstab_recurrence.h (shared with the host bicgstab_multi),
+//     and vbicgstab is its k = 1 block.  Both keep the breakdown-reporting
+//     contract of krylov.h and agree with the host solvers to solver
+//     tolerance.
 //
 // Every kernel takes a `strip` parameter — the requested software strip
 // length, Alya's VECTOR_SIZE applied to the solve; <= 0 means vlmax.  On a
@@ -311,14 +313,15 @@ void vjacobi_apply_multi(sim::Vpu& vpu, std::span<const double> dinv,
 
 // ---- instrumented Krylov solvers --------------------------------------
 // vcg is the single-Vpu instance of the shared CG recurrence
-// (solver/cg_recurrence.h); vbicgstab is a step-for-step mirror of
-// krylov.h's bicgstab.  Both keep the breakdown-reporting contract.  The
-// CSR operator is
-// mirrored into the requested SpmvFormat internally (SELL slices at the
-// effective strip); because every format masks its pads and preserves the
-// per-row accumulation order, the residual HISTORY of a solve is
-// bit-identical across formats on every exit path (test_format_equivalence
-// asserts this per platform × scenario) — only the counters change.
+// (solver/cg_recurrence.h), vbicgstab_multi that of the shared BiCGStab
+// recurrence (solver/bicgstab_recurrence.h), and vbicgstab is
+// vbicgstab_multi at k = 1.  All keep the breakdown-reporting contract.
+// The CSR operator is mirrored into the requested SpmvFormat internally
+// (SELL slices at the effective strip); because every format masks its
+// pads and preserves the per-row accumulation order, the residual HISTORY
+// of a solve is bit-identical across formats on every exit path
+// (test_format_equivalence asserts this per platform × scenario) — only
+// the counters change.
 
 /// Reusable scratch for the instrumented solvers.  One solve = one ELL
 /// mirror + a handful of work vectors; callers running MANY solves in one
@@ -350,23 +353,26 @@ SolveReport vcg(sim::Vpu& vpu, const CsrMatrix& a, std::span<const double> b,
                 int strip = 0, KrylovWorkspace* ws = nullptr,
                 SpmvFormat format = SpmvFormat::kEll);
 
+/// vbicgstab_multi at k = 1: one column, and every blocked kernel it
+/// issues degrades to its single-RHS counterpart.
 SolveReport vbicgstab(sim::Vpu& vpu, const CsrMatrix& a,
                       std::span<const double> b, std::span<double> x,
                       const SolveOptions& opts = {}, int strip = 0,
                       KrylovWorkspace* ws = nullptr,
                       SpmvFormat format = SpmvFormat::kEll);
 
-/// Multi-RHS mirror of the host bicgstab_multi (krylov.h), built on the
-/// blocked kernels above: k node-major columns advance in lockstep, the
-/// k Krylov recurrences stay independent (per-column scalars, convergence
-/// and breakdown lifecycle — one SolveReport per column under the full
+/// The shared BiCGStab recurrence (solver/bicgstab_recurrence.h, the
+/// host bicgstab_multi's too) on one Vpu, built on the blocked kernels
+/// above: k node-major columns advance in lockstep, the k Krylov
+/// recurrences stay independent (per-column scalars, convergence and
+/// breakdown lifecycle — one SolveReport per column under the full
 /// krylov.h contract), and every ELL slab streamed by the two SpMVs per
 /// iteration is loaded once for all active columns instead of once per
-/// column.  Column d returns bit-for-bit the iterate of a standalone
-/// vbicgstab(a, b_d, x_d) at the same strip — the transient TimeLoop's
-/// phase-9 blocked momentum solve rests on that equivalence.  The
-/// workspace's block buffers size to k·n; as with the single-RHS solvers,
-/// one workspace must serve the whole measurement.
+/// column.  Column d returns bit-for-bit the iterate of vbicgstab(a, b_d,
+/// x_d) at the same strip — the transient TimeLoop's phase-9 blocked
+/// momentum solve rests on that equivalence.  The workspace's block
+/// buffers size to k·n; as with the single-RHS solvers, one workspace must
+/// serve the whole measurement.
 std::vector<SolveReport> vbicgstab_multi(sim::Vpu& vpu, const CsrMatrix& a,
                                          std::span<const double> b,
                                          std::span<double> x, int k,

@@ -6,6 +6,8 @@
 
 #include <cmath>
 #include <random>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "fem/reference_assembly.h"
@@ -189,6 +191,40 @@ TEST(Vbicgstab, GoldenMatchAgainstHostOnFemOperator) {
   EXPECT_LE(rel_l2_diff(x_vpu, x_host), 1e-10);
   // and both sit on the manufactured solution
   EXPECT_LE(rel_l2_diff(x_vpu, xref), 1e-8);
+}
+
+TEST(Vbicgstab, ArgumentErrorsNameTheCalledSolver) {
+  // The single-RHS solvers are the k = 1 block of the multi-RHS ones; a
+  // bad call must still be reported under the name the caller used.
+  const CsrMatrix a = poisson1d(8);
+  std::vector<double> b(8, 1.0), x(8, 0.0), short_x(7, 0.0);
+  SolveOptions cheby;
+  cheby.precond.kind = solver::PrecondKind::kCheby;
+  const auto message_of = [](auto&& call) -> std::string {
+    try {
+      call();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no throw";
+  };
+  sim::Vpu vpu(platforms::riscv_vec());
+  EXPECT_EQ(message_of([&] { bicgstab(a, b, short_x); }),
+            "bicgstab: dimension mismatch");
+  EXPECT_EQ(message_of([&] { vbicgstab(vpu, a, b, short_x); }),
+            "vbicgstab: dimension mismatch");
+  EXPECT_EQ(message_of([&] { solver::bicgstab_multi(a, b, short_x, 1); }),
+            "bicgstab_multi: dimension mismatch");
+  EXPECT_EQ(
+      message_of([&] { solver::vbicgstab_multi(vpu, a, b, short_x, 1); }),
+      "vbicgstab_multi: dimension mismatch");
+  EXPECT_EQ(message_of([&] { bicgstab(a, b, x, cheby); })
+                .rfind("bicgstab: preconditioner 'cheby'", 0),
+            0u);
+  EXPECT_EQ(message_of([&] { vbicgstab(vpu, a, b, x, cheby); })
+                .rfind("vbicgstab: preconditioner 'cheby'", 0),
+            0u);
+  EXPECT_EQ(vpu.counters().total_instrs(), 0u);  // rejected before issuing
 }
 
 TEST(Vkernels, ScalarMachineFallbackComputesIdenticalValues) {
