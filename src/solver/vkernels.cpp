@@ -33,53 +33,6 @@ void check_len(std::size_t got, std::size_t want, const char* what) {
   }
 }
 
-/// out = base + scale·scaled (out may alias either input).
-void axpby_into(sim::Vpu& vpu, std::span<const double> base, double scale,
-                std::span<const double> scaled, std::span<double> out,
-                int strip) {
-  const int n = static_cast<int>(out.size());
-  check_len(base.size(), out.size(), "axpby_into");
-  check_len(scaled.size(), out.size(), "axpby_into");
-  if (vector_path(vpu)) {
-    for_strips(vpu, n, effective_strip(vpu, strip), [&](int i, int) {
-      const sim::Vec vb = vpu.vload(base.data() + i);
-      const sim::Vec vs = vpu.vload(scaled.data() + i);
-      vpu.vstore(out.data() + i, vpu.vfma_s(vs, scale, vb));
-    });
-  } else {
-    for (int i = 0; i < n; ++i) {
-      const double bi = vpu.sload(base.data() + i);
-      const double si = vpu.sload(scaled.data() + i);
-      vpu.sstore(out.data() + i, vpu.sfma(si, scale, bi));
-      vpu.sarith(1);
-    }
-  }
-}
-
-/// p = r + beta·(p − omega·v), the BiCGStab direction update.
-void bicgstab_p_update(sim::Vpu& vpu, std::span<const double> r, double beta,
-                       double omega, std::span<const double> v,
-                       std::span<double> p, int strip) {
-  const int n = static_cast<int>(p.size());
-  if (vector_path(vpu)) {
-    for_strips(vpu, n, effective_strip(vpu, strip), [&](int i, int) {
-      const sim::Vec vp = vpu.vload(p.data() + i);
-      const sim::Vec vv = vpu.vload(v.data() + i);
-      const sim::Vec vr = vpu.vload(r.data() + i);
-      const sim::Vec tmp = vpu.vfma_s(vv, -omega, vp);
-      vpu.vstore(p.data() + i, vpu.vfma_s(tmp, beta, vr));
-    });
-  } else {
-    for (int i = 0; i < n; ++i) {
-      const double pi = vpu.sload(p.data() + i);
-      const double vi = vpu.sload(v.data() + i);
-      const double ri = vpu.sload(r.data() + i);
-      vpu.sstore(p.data() + i, vpu.sfma(vpu.sfma(vi, -omega, pi), beta, ri));
-      vpu.sarith(1);
-    }
-  }
-}
-
 /// SELL slice height for a solver-built mirror: the effective strip, with
 /// a fixed fallback for the degenerate scalar-machine strip<=0 request
 /// (layout only — the scalar fallback walks lanes either way).
@@ -88,113 +41,253 @@ int mirror_slice_height(int strip, const sim::MachineConfig& m) {
   return eff > 0 ? eff : 64;
 }
 
-}  // namespace
-
-void vspmv(sim::Vpu& vpu, const EllMatrix& a, std::span<const double> x,
-           std::span<double> y, int strip) {
-  const int n = a.rows();
-  check_len(x.size(), static_cast<std::size_t>(a.num_cols()), "vspmv");
-  check_len(y.size(), static_cast<std::size_t>(n), "vspmv");
-  if (vector_path(vpu)) {
-    for_strips(vpu, n, effective_strip(vpu, strip), [&](int i, int) {
-      sim::Vec acc = vpu.vsplat(0.0);
-      for (int j = 0; j < a.width(); ++j) {
-        const sim::Vec vv = vpu.vload(a.vals(j) + i);
-        const sim::Vec idx = vpu.vload_i32(a.cols(j) + i);
-        const sim::Vec xs = vpu.vgather(x.data(), idx);
-        acc = vpu.vfma(vv, xs, acc);
-        vpu.sarith(1);  // slab-loop control
-      }
-      vpu.vstore(y.data() + i, acc);
-    });
-  } else {
-    for (int r = 0; r < n; ++r) {
-      double s = 0.0;
-      for (int j = 0; j < a.width(); ++j) {
-        const std::int32_t c = vpu.sload_i32(a.cols(j) + r);
-        vpu.sarith(1);  // pad-mask test
-        if (c < 0) {    // masked pad lane: skipped, zero data traffic
-          vpu.note_pad_lanes(1);
-          continue;
-        }
-        const double v = vpu.sload(a.vals(j) + r);
-        const double xv = vpu.sload(x.data() + c);
-        s = vpu.sfma(v, xv, s);
-        vpu.sarith(1);
-      }
-      vpu.sstore(y.data() + r, s);
-      vpu.sarith(1);
-    }
-  }
+bool col_active(std::span<const char> active, int d) {
+  return active.empty() || active[static_cast<std::size_t>(d)] != 0;
 }
 
-void vspmv(sim::Vpu& vpu, const SellMatrix& a, std::span<const double> x,
-           std::span<double> y, int strip) {
-  const int n = a.rows();
-  check_len(x.size(), static_cast<std::size_t>(n), "vspmv(sell)");
-  check_len(y.size(), static_cast<std::size_t>(n), "vspmv(sell)");
+bool any_active(std::span<const char> active, int k) {
+  for (int d = 0; d < k; ++d) {
+    if (col_active(active, d)) return true;
+  }
+  return false;
+}
+
+/// Common block-kernel argument validation; returns the column length n.
+std::size_t check_multi(std::size_t block_size, int k,
+                        std::span<const char> active, const char* what) {
+  if (k <= 0) {
+    throw std::invalid_argument(std::string(what) + ": k must be positive");
+  }
+  if (block_size % static_cast<std::size_t>(k) != 0) {
+    throw std::invalid_argument(std::string(what) + ": dimension mismatch");
+  }
+  if (!active.empty() && active.size() != static_cast<std::size_t>(k)) {
+    throw std::invalid_argument(std::string(what) + ": active mask size");
+  }
+  return block_size / static_cast<std::size_t>(k);
+}
+
+/// out_d = base_d + scale[d]·scaled_d for every active column (out may
+/// alias either input) — the one kernel behind vaxpy, vxpby, vaxpy_multi
+/// and the s / r updates of BiCGStab.
+void axpby_block(sim::Vpu& vpu, std::span<const double> base,
+                 std::span<const double> scale,
+                 std::span<const double> scaled, std::span<double> out,
+                 int k, int strip, std::span<const char> active = {}) {
+  const std::size_t n = check_multi(out.size(), k, active, "axpby");
+  check_len(base.size(), out.size(), "axpby");
+  check_len(scaled.size(), out.size(), "axpby");
+  check_len(scale.size(), static_cast<std::size_t>(k), "axpby");
+  if (!any_active(active, k)) return;
   if (!vector_path(vpu)) {
-    // Scalar fallback walks lanes in slice order (the layout's memory
-    // order); per-row accumulation order is CSR order, values identical.
-    for (int s = 0; s < a.num_slices(); ++s) {
-      const int nr = a.slice_rows(s);
-      const std::int32_t* ids = a.row_ids(s);
-      for (int l = 0; l < nr; ++l) {
-        const std::int32_t rid = vpu.sload_i32(ids + l);
-        double acc = 0.0;
-        for (int j = 0; j < a.slice_width(s); ++j) {
-          const std::int32_t c = vpu.sload_i32(a.cols(s, j) + l);
-          vpu.sarith(1);  // pad-mask test
-          if (c < 0) {
-            vpu.note_pad_lanes(1);
-            continue;
-          }
-          const double v = vpu.sload(a.vals(s, j) + l);
-          const double xv = vpu.sload(x.data() + c);
-          acc = vpu.sfma(v, xv, acc);
-          vpu.sarith(1);
-        }
-        vpu.sstore(y.data() + rid, acc);
+    for (int d = 0; d < k; ++d) {
+      if (!col_active(active, d)) continue;
+      const std::size_t off = static_cast<std::size_t>(d) * n;
+      const double sd = scale[static_cast<std::size_t>(d)];
+      for (std::size_t i = off; i < off + n; ++i) {
+        const double bi = vpu.sload(base.data() + i);
+        const double si = vpu.sload(scaled.data() + i);
+        vpu.sstore(out.data() + i, vpu.sfma(si, sd, bi));
         vpu.sarith(1);
       }
     }
     return;
   }
+  for_strips(vpu, static_cast<int>(n), effective_strip(vpu, strip),
+             [&](int i, int) {
+    for (int d = 0; d < k; ++d) {
+      if (!col_active(active, d)) continue;
+      const std::size_t off = static_cast<std::size_t>(d) * n;
+      const sim::Vec vb = vpu.vload(base.data() + off + i);
+      const sim::Vec vs = vpu.vload(scaled.data() + off + i);
+      vpu.vstore(out.data() + off + i,
+                 vpu.vfma_s(vs, scale[static_cast<std::size_t>(d)], vb));
+    }
+  });
+}
+
+}  // namespace
+
+// ---- instrumented kernels ---------------------------------------------
+// Every kernel with a multi-RHS form is written once, over k node-major
+// columns; the single-RHS entry point is its k = 1 call.  The fused vector
+// pass at k = 1 issues exactly the single-column instruction sequence, and
+// the scalar fallback walks the active columns one after another, so
+// per-column results and counters are the same for any k (DESIGN.md §5).
+
+void vspmv_multi(sim::Vpu& vpu, const EllMatrix& a, std::span<const double> x,
+                 std::span<double> y, int k, int strip,
+                 std::span<const char> active) {
+  const std::size_t n = check_multi(y.size(), k, active, "vspmv");
+  const std::size_t nx = static_cast<std::size_t>(a.num_cols());
+  check_len(n, static_cast<std::size_t>(a.rows()), "vspmv");
+  check_len(x.size(), nx * static_cast<std::size_t>(k), "vspmv");
+  if (!any_active(active, k)) return;
+  if (!vector_path(vpu)) {
+    for (int d = 0; d < k; ++d) {
+      if (!col_active(active, d)) continue;
+      const double* xd = x.data() + static_cast<std::size_t>(d) * nx;
+      double* yd = y.data() + static_cast<std::size_t>(d) * n;
+      for (int r = 0; r < a.rows(); ++r) {
+        double s = 0.0;
+        for (int j = 0; j < a.width(); ++j) {
+          const std::int32_t c = vpu.sload_i32(a.cols(j) + r);
+          vpu.sarith(1);  // pad-mask test
+          if (c < 0) {    // masked pad lane: skipped, zero data traffic
+            vpu.note_pad_lanes(1);
+            continue;
+          }
+          const double v = vpu.sload(a.vals(j) + r);
+          const double xv = vpu.sload(xd + c);
+          s = vpu.sfma(v, xv, s);
+          vpu.sarith(1);
+        }
+        vpu.sstore(yd + r, s);
+        vpu.sarith(1);
+      }
+    }
+    return;
+  }
+  // Vec accumulators hold register values; this storage is never
+  // vload/vstore'd, so no canonical line ever maps to it and its free
+  // cannot re-alias a measured buffer.
+  // vecfd-lint: allow(measured-alloc) register-value storage, never mapped
+  std::vector<sim::Vec> acc(static_cast<std::size_t>(k));
+  for_strips(vpu, static_cast<int>(n), effective_strip(vpu, strip),
+             [&](int i, int) {
+    for (int d = 0; d < k; ++d) {
+      if (col_active(active, d)) {
+        acc[static_cast<std::size_t>(d)] = vpu.vsplat(0.0);
+      }
+    }
+    for (int j = 0; j < a.width(); ++j) {
+      // ONE value/index slab load feeds every active gather/fma stream.
+      const sim::Vec vv = vpu.vload(a.vals(j) + i);
+      const sim::Vec idx = vpu.vload_i32(a.cols(j) + i);
+      for (int d = 0; d < k; ++d) {
+        if (!col_active(active, d)) continue;
+        const sim::Vec xs =
+            vpu.vgather(x.data() + static_cast<std::size_t>(d) * nx, idx);
+        acc[static_cast<std::size_t>(d)] =
+            vpu.vfma(vv, xs, acc[static_cast<std::size_t>(d)]);
+        vpu.sarith(1);  // slab/stream-loop control
+      }
+    }
+    for (int d = 0; d < k; ++d) {
+      if (!col_active(active, d)) continue;
+      vpu.vstore(y.data() + static_cast<std::size_t>(d) * n + i,
+                 acc[static_cast<std::size_t>(d)]);
+    }
+  });
+}
+
+void vspmv(sim::Vpu& vpu, const EllMatrix& a, std::span<const double> x,
+           std::span<double> y, int strip) {
+  vspmv_multi(vpu, a, x, y, 1, strip);
+}
+
+void vspmv_multi(sim::Vpu& vpu, const SellMatrix& a,
+                 std::span<const double> x, std::span<double> y, int k,
+                 int strip, std::span<const char> active) {
+  const std::size_t n = check_multi(y.size(), k, active, "vspmv(sell)");
+  check_len(x.size(), y.size(), "vspmv(sell)");
+  check_len(n, static_cast<std::size_t>(a.rows()), "vspmv(sell)");
+  if (!any_active(active, k)) return;
+  if (!vector_path(vpu)) {
+    // Scalar fallback walks lanes in slice order (the layout's memory
+    // order); per-row accumulation order is CSR order, values identical.
+    for (int d = 0; d < k; ++d) {
+      if (!col_active(active, d)) continue;
+      const double* xd = x.data() + static_cast<std::size_t>(d) * n;
+      double* yd = y.data() + static_cast<std::size_t>(d) * n;
+      for (int s = 0; s < a.num_slices(); ++s) {
+        const int nr = a.slice_rows(s);
+        const std::int32_t* ids = a.row_ids(s);
+        for (int l = 0; l < nr; ++l) {
+          const std::int32_t rid = vpu.sload_i32(ids + l);
+          double acc = 0.0;
+          for (int j = 0; j < a.slice_width(s); ++j) {
+            const std::int32_t c = vpu.sload_i32(a.cols(s, j) + l);
+            vpu.sarith(1);  // pad-mask test
+            if (c < 0) {
+              vpu.note_pad_lanes(1);
+              continue;
+            }
+            const double v = vpu.sload(a.vals(s, j) + l);
+            const double xv = vpu.sload(xd + c);
+            acc = vpu.sfma(v, xv, acc);
+            vpu.sarith(1);
+          }
+          vpu.sstore(yd + rid, acc);
+          vpu.sarith(1);
+        }
+      }
+    }
+    return;
+  }
   const int eff = effective_strip(vpu, strip);
+  // Vec accumulators, as above: register values only, never mapped.
+  // vecfd-lint: allow(measured-alloc) register-value storage, never mapped
+  std::vector<sim::Vec> acc(static_cast<std::size_t>(k));
   for (int s = 0; s < a.num_slices(); ++s) {
     const int nr = a.slice_rows(s);
     const int base = a.slice_row_base(s);
     for (int i = 0; i < nr;) {
       // vecfd-lint: allow(strip-mine-contract) slice-local strip loop: SELL
       const int vl = vpu.set_vl(std::min(eff, nr - i));
-      sim::Vec acc = vpu.vsplat(0.0);
+      for (int d = 0; d < k; ++d) {
+        if (col_active(active, d)) {
+          acc[static_cast<std::size_t>(d)] = vpu.vsplat(0.0);
+        }
+      }
       for (int j = 0; j < a.slice_width(s); ++j) {
+        // ONE value (and, off the fast path, index) slab load feeds every
+        // active stream — the same sharing lever as the ELL kernel.
         const sim::Vec vv = vpu.vload(a.vals(s, j) + i);
         const int c0 = a.coalesced_col(s, j);
-        sim::Vec xs;
-        if (c0 >= 0) {
-          // coalescing fast path: the slab's columns are the unit run
-          // c0+i .. c0+i+vl−1, so the gather degenerates to a vload
-          xs = vpu.vload(x.data() + c0 + i);
-          vpu.note_coalesced_lanes(static_cast<std::uint64_t>(vl));
-        } else {
-          const sim::Vec idx = vpu.vload_i32(a.cols(s, j) + i);
-          xs = vpu.vgather(x.data(), idx);
+        sim::Vec idx;
+        if (c0 < 0) idx = vpu.vload_i32(a.cols(s, j) + i);
+        for (int d = 0; d < k; ++d) {
+          if (!col_active(active, d)) continue;
+          const double* xd = x.data() + static_cast<std::size_t>(d) * n;
+          sim::Vec xs;
+          if (c0 >= 0) {
+            // coalescing fast path: the slab's columns are the unit run
+            // c0+i .. c0+i+vl−1, so the gather degenerates to a vload
+            xs = vpu.vload(xd + c0 + i);
+            vpu.note_coalesced_lanes(static_cast<std::uint64_t>(vl));
+          } else {
+            xs = vpu.vgather(xd, idx);
+          }
+          acc[static_cast<std::size_t>(d)] =
+              vpu.vfma(vv, xs, acc[static_cast<std::size_t>(d)]);
+          vpu.sarith(1);  // slab/stream-loop control
         }
-        acc = vpu.vfma(vv, xs, acc);
-        vpu.sarith(1);  // slab-loop control
       }
       if (base >= 0) {
-        vpu.vstore(y.data() + base + i, acc);
+        for (int d = 0; d < k; ++d) {
+          if (!col_active(active, d)) continue;
+          vpu.vstore(y.data() + static_cast<std::size_t>(d) * n + base + i,
+                     acc[static_cast<std::size_t>(d)]);
+        }
       } else {
         const sim::Vec ridx = vpu.vload_i32(a.row_ids(s) + i);
-        vpu.vscatter(y.data(), ridx, acc);
+        for (int d = 0; d < k; ++d) {
+          if (!col_active(active, d)) continue;
+          vpu.vscatter(y.data() + static_cast<std::size_t>(d) * n, ridx,
+                       acc[static_cast<std::size_t>(d)]);
+        }
       }
       vpu.sarith(2);  // strip bump + loop bound check
       i += vl;
     }
     vpu.sarith(1);  // slice-loop control
   }
+}
+
+void vspmv(sim::Vpu& vpu, const SellMatrix& a, std::span<const double> x,
+           std::span<double> y, int strip) {
+  vspmv_multi(vpu, a, x, y, 1, strip);
 }
 
 // CsrMatrix stores `int` indices; the Vpu's index loads take int32_t.  The
@@ -244,32 +337,73 @@ void OperatorMirror::assign(const CsrMatrix& a, SpmvFormat format,
 
 void OperatorMirror::apply(sim::Vpu& vpu, std::span<const double> x,
                            std::span<double> y, int strip) const {
+  apply_multi(vpu, x, y, 1, strip);
+}
+
+void OperatorMirror::apply_multi(sim::Vpu& vpu, std::span<const double> x,
+                                 std::span<double> y, int k, int strip,
+                                 std::span<const char> active) const {
   switch (format_) {
-    case SpmvFormat::kCsrHost: vspmv(vpu, *csr_, x, y); return;
-    case SpmvFormat::kEll:     vspmv(vpu, ell_, x, y, strip); return;
-    case SpmvFormat::kSell:    vspmv(vpu, sell_, x, y, strip); return;
+    case SpmvFormat::kCsrHost: {
+      const std::size_t n = check_multi(y.size(), k, active, "vspmv(csr)");
+      check_len(x.size(), y.size(), "vspmv(csr)");
+      for (int d = 0; d < k; ++d) {
+        if (!col_active(active, d)) continue;
+        const std::size_t off = static_cast<std::size_t>(d) * n;
+        vspmv(vpu, *csr_, x.subspan(off, n), y.subspan(off, n));
+      }
+      return;
+    }
+    case SpmvFormat::kEll:
+      vspmv_multi(vpu, ell_, x, y, k, strip, active);
+      return;
+    case SpmvFormat::kSell:
+      vspmv_multi(vpu, sell_, x, y, k, strip, active);
+      return;
   }
+}
+
+void vdot_multi(sim::Vpu& vpu, std::span<const double> a,
+                std::span<const double> b, int k, std::span<double> out,
+                int strip, std::span<const char> active) {
+  const std::size_t n = check_multi(a.size(), k, active, "vdot");
+  check_len(b.size(), a.size(), "vdot");
+  check_len(out.size(), static_cast<std::size_t>(k), "vdot");
+  if (!any_active(active, k)) return;
+  for (int d = 0; d < k; ++d) {
+    if (col_active(active, d)) out[static_cast<std::size_t>(d)] = 0.0;
+  }
+  if (!vector_path(vpu)) {
+    for (int d = 0; d < k; ++d) {
+      if (!col_active(active, d)) continue;
+      const std::size_t off = static_cast<std::size_t>(d) * n;
+      double& s = out[static_cast<std::size_t>(d)];
+      for (std::size_t i = off; i < off + n; ++i) {
+        const double ai = vpu.sload(a.data() + i);
+        const double bi = vpu.sload(b.data() + i);
+        s = vpu.sfma(ai, bi, s);
+        vpu.sarith(1);
+      }
+    }
+    return;
+  }
+  for_strips(vpu, static_cast<int>(n), effective_strip(vpu, strip),
+             [&](int i, int) {
+    for (int d = 0; d < k; ++d) {
+      if (!col_active(active, d)) continue;
+      const std::size_t off = static_cast<std::size_t>(d) * n;
+      const sim::Vec va = vpu.vload(a.data() + off + i);
+      const sim::Vec vb = vpu.vload(b.data() + off + i);
+      out[static_cast<std::size_t>(d)] = vpu.sadd(
+          out[static_cast<std::size_t>(d)], vpu.vredsum(vpu.vmul(va, vb)));
+    }
+  });
 }
 
 double vdot(sim::Vpu& vpu, std::span<const double> a,
             std::span<const double> b, int strip) {
-  check_len(b.size(), a.size(), "vdot");
-  const int n = static_cast<int>(a.size());
   double s = 0.0;
-  if (vector_path(vpu)) {
-    for_strips(vpu, n, effective_strip(vpu, strip), [&](int i, int) {
-      const sim::Vec va = vpu.vload(a.data() + i);
-      const sim::Vec vb = vpu.vload(b.data() + i);
-      s = vpu.sadd(s, vpu.vredsum(vpu.vmul(va, vb)));
-    });
-  } else {
-    for (int i = 0; i < n; ++i) {
-      const double ai = vpu.sload(a.data() + i);
-      const double bi = vpu.sload(b.data() + i);
-      s = vpu.sfma(ai, bi, s);
-      vpu.sarith(1);
-    }
-  }
+  vdot_multi(vpu, a, b, 1, std::span<double>(&s, 1), strip);
   return s;
 }
 
@@ -310,49 +444,87 @@ double vnorm2(sim::Vpu& vpu, std::span<const double> a, int strip) {
 
 void vaxpy(sim::Vpu& vpu, double alpha, std::span<const double> x,
            std::span<double> y, int strip) {
-  axpby_into(vpu, y, alpha, x, y, strip);
+  axpby_block(vpu, y, std::span<const double>(&alpha, 1), x, y, 1, strip);
 }
 
 void vxpby(sim::Vpu& vpu, std::span<const double> x, double beta,
            std::span<double> y, int strip) {
-  axpby_into(vpu, x, beta, y, y, strip);
+  axpby_block(vpu, x, std::span<const double>(&beta, 1), y, y, 1, strip);
+}
+
+void vaxpy_multi(sim::Vpu& vpu, std::span<const double> alpha,
+                 std::span<const double> x, std::span<double> y, int k,
+                 int strip, std::span<const char> active) {
+  axpby_block(vpu, y, alpha, x, y, k, strip, active);
+}
+
+void vsub_multi(sim::Vpu& vpu, std::span<const double> a,
+                std::span<const double> b, std::span<double> out, int k,
+                int strip, std::span<const char> active) {
+  const std::size_t n = check_multi(out.size(), k, active, "vsub");
+  check_len(a.size(), out.size(), "vsub");
+  check_len(b.size(), out.size(), "vsub");
+  if (!any_active(active, k)) return;
+  if (!vector_path(vpu)) {
+    for (int d = 0; d < k; ++d) {
+      if (!col_active(active, d)) continue;
+      const std::size_t off = static_cast<std::size_t>(d) * n;
+      for (std::size_t i = off; i < off + n; ++i) {
+        const double ai = vpu.sload(a.data() + i);
+        const double bi = vpu.sload(b.data() + i);
+        vpu.sstore(out.data() + i, vpu.ssub(ai, bi));
+        vpu.sarith(1);
+      }
+    }
+    return;
+  }
+  for_strips(vpu, static_cast<int>(n), effective_strip(vpu, strip),
+             [&](int i, int) {
+    for (int d = 0; d < k; ++d) {
+      if (!col_active(active, d)) continue;
+      const std::size_t off = static_cast<std::size_t>(d) * n;
+      const sim::Vec va = vpu.vload(a.data() + off + i);
+      const sim::Vec vb = vpu.vload(b.data() + off + i);
+      vpu.vstore(out.data() + off + i, vpu.vsub(va, vb));
+    }
+  });
 }
 
 void vsub(sim::Vpu& vpu, std::span<const double> a, std::span<const double> b,
           std::span<double> out, int strip) {
-  check_len(a.size(), out.size(), "vsub");
-  check_len(b.size(), out.size(), "vsub");
-  const int n = static_cast<int>(out.size());
-  if (vector_path(vpu)) {
-    for_strips(vpu, n, effective_strip(vpu, strip), [&](int i, int) {
-      const sim::Vec va = vpu.vload(a.data() + i);
-      const sim::Vec vb = vpu.vload(b.data() + i);
-      vpu.vstore(out.data() + i, vpu.vsub(va, vb));
-    });
-  } else {
-    for (int i = 0; i < n; ++i) {
-      const double ai = vpu.sload(a.data() + i);
-      const double bi = vpu.sload(b.data() + i);
-      vpu.sstore(out.data() + i, vpu.ssub(ai, bi));
-      vpu.sarith(1);
+  vsub_multi(vpu, a, b, out, 1, strip);
+}
+
+void vcopy_multi(sim::Vpu& vpu, std::span<const double> src,
+                 std::span<double> dst, int k, int strip,
+                 std::span<const char> active) {
+  const std::size_t n = check_multi(dst.size(), k, active, "vcopy");
+  check_len(src.size(), dst.size(), "vcopy");
+  if (!any_active(active, k)) return;
+  if (!vector_path(vpu)) {
+    for (int d = 0; d < k; ++d) {
+      if (!col_active(active, d)) continue;
+      const std::size_t off = static_cast<std::size_t>(d) * n;
+      for (std::size_t i = off; i < off + n; ++i) {
+        vpu.sstore(dst.data() + i, vpu.sload(src.data() + i));
+        vpu.sarith(1);
+      }
     }
+    return;
   }
+  for_strips(vpu, static_cast<int>(n), effective_strip(vpu, strip),
+             [&](int i, int) {
+    for (int d = 0; d < k; ++d) {
+      if (!col_active(active, d)) continue;
+      const std::size_t off = static_cast<std::size_t>(d) * n;
+      vpu.vstore(dst.data() + off + i, vpu.vload(src.data() + off + i));
+    }
+  });
 }
 
 void vcopy(sim::Vpu& vpu, std::span<const double> src, std::span<double> dst,
            int strip) {
-  check_len(src.size(), dst.size(), "vcopy");
-  const int n = static_cast<int>(dst.size());
-  if (vector_path(vpu)) {
-    for_strips(vpu, n, effective_strip(vpu, strip), [&](int i, int) {
-      vpu.vstore(dst.data() + i, vpu.vload(src.data() + i));
-    });
-  } else {
-    for (int i = 0; i < n; ++i) {
-      vpu.sstore(dst.data() + i, vpu.sload(src.data() + i));
-      vpu.sarith(1);
-    }
-  }
+  vcopy_multi(vpu, src, dst, 1, strip);
 }
 
 void vscal(sim::Vpu& vpu, double alpha, std::span<double> x, int strip) {
@@ -383,30 +555,46 @@ void vfill(sim::Vpu& vpu, std::span<double> dst, double value, int strip) {
   }
 }
 
+void vjacobi_apply_multi(sim::Vpu& vpu, std::span<const double> dinv,
+                         std::span<const double> r, std::span<double> z,
+                         int k, int strip, std::span<const char> active) {
+  if (dinv.empty()) {
+    vcopy_multi(vpu, r, z, k, strip, active);
+    return;
+  }
+  const std::size_t n = check_multi(z.size(), k, active, "vjacobi_apply");
+  check_len(r.size(), z.size(), "vjacobi_apply");
+  check_len(dinv.size(), n, "vjacobi_apply");
+  if (!any_active(active, k)) return;
+  if (!vector_path(vpu)) {
+    for (int d = 0; d < k; ++d) {
+      if (!col_active(active, d)) continue;
+      const std::size_t off = static_cast<std::size_t>(d) * n;
+      for (std::size_t i = 0; i < n; ++i) {
+        const double di = vpu.sload(dinv.data() + i);
+        const double ri = vpu.sload(r.data() + off + i);
+        vpu.sstore(z.data() + off + i, vpu.smul(di, ri));
+        vpu.sarith(1);
+      }
+    }
+    return;
+  }
+  for_strips(vpu, static_cast<int>(n), effective_strip(vpu, strip),
+             [&](int i, int) {
+    for (int d = 0; d < k; ++d) {
+      if (!col_active(active, d)) continue;
+      const std::size_t off = static_cast<std::size_t>(d) * n;
+      const sim::Vec vd = vpu.vload(dinv.data() + i);
+      const sim::Vec vr = vpu.vload(r.data() + off + i);
+      vpu.vstore(z.data() + off + i, vpu.vmul(vd, vr));
+    }
+  });
+}
+
 void vjacobi_apply(sim::Vpu& vpu, std::span<const double> dinv,
                    std::span<const double> r, std::span<double> z,
                    int strip) {
-  if (dinv.empty()) {
-    vcopy(vpu, r, z, strip);
-    return;
-  }
-  check_len(dinv.size(), r.size(), "vjacobi_apply");
-  check_len(z.size(), r.size(), "vjacobi_apply");
-  const int n = static_cast<int>(r.size());
-  if (vector_path(vpu)) {
-    for_strips(vpu, n, effective_strip(vpu, strip), [&](int i, int) {
-      const sim::Vec vd = vpu.vload(dinv.data() + i);
-      const sim::Vec vr = vpu.vload(r.data() + i);
-      vpu.vstore(z.data() + i, vpu.vmul(vd, vr));
-    });
-  } else {
-    for (int i = 0; i < n; ++i) {
-      const double di = vpu.sload(dinv.data() + i);
-      const double ri = vpu.sload(r.data() + i);
-      vpu.sstore(z.data() + i, vpu.smul(di, ri));
-      vpu.sarith(1);
-    }
-  }
+  vjacobi_apply_multi(vpu, dinv, r, z, 1, strip);
 }
 
 void vpack_strided(sim::Vpu& vpu, const double* base, std::ptrdiff_t stride,
@@ -425,368 +613,10 @@ void vpack_strided(sim::Vpu& vpu, const double* base, std::ptrdiff_t stride,
   }
 }
 
-// ---- multi-RHS (blocked) kernels --------------------------------------
-// Per-column instruction sequences are kept identical to the single-RHS
-// kernels above (same loads, same FMA order), so per-column results are
-// bit-for-bit equal; the fusion shares the strip loop and — in vspmv_multi
-// — the operator value/index slab loads across all active columns.
-
 namespace {
 
-bool col_active(std::span<const char> active, int d) {
-  return active.empty() || active[static_cast<std::size_t>(d)] != 0;
-}
-
-bool any_active(std::span<const char> active, int k) {
-  for (int d = 0; d < k; ++d) {
-    if (col_active(active, d)) return true;
-  }
-  return false;
-}
-
-/// Common multi-kernel argument validation; returns the column length n.
-std::size_t check_multi(std::size_t block_size, int k,
-                        std::span<const char> active, const char* what) {
-  if (k <= 0) {
-    throw std::invalid_argument(std::string(what) + ": k must be positive");
-  }
-  if (block_size % static_cast<std::size_t>(k) != 0) {
-    throw std::invalid_argument(std::string(what) + ": dimension mismatch");
-  }
-  if (!active.empty() && active.size() != static_cast<std::size_t>(k)) {
-    throw std::invalid_argument(std::string(what) + ": active mask size");
-  }
-  return block_size / static_cast<std::size_t>(k);
-}
-
-}  // namespace
-
-void vspmv_multi(sim::Vpu& vpu, const EllMatrix& a, std::span<const double> x,
-                 std::span<double> y, int k, int strip,
-                 std::span<const char> active) {
-  const std::size_t n = check_multi(y.size(), k, active, "vspmv_multi");
-  check_len(x.size(), y.size(), "vspmv_multi");
-  check_len(n, static_cast<std::size_t>(a.rows()), "vspmv_multi");
-  if (!any_active(active, k)) return;
-  if (!vector_path(vpu) || k == 1) {
-    for (int d = 0; d < k; ++d) {
-      if (!col_active(active, d)) continue;
-      const std::size_t off = static_cast<std::size_t>(d) * n;
-      vspmv(vpu, a, x.subspan(off, n), y.subspan(off, n), strip);
-    }
-    return;
-  }
-  // Vec accumulators hold register values; this storage is never
-  // vload/vstore'd, so no canonical line ever maps to it and its free
-  // cannot re-alias a measured buffer.
-  // vecfd-lint: allow(measured-alloc) register-value storage, never mapped
-  std::vector<sim::Vec> acc(static_cast<std::size_t>(k));
-  for_strips(vpu, static_cast<int>(n), effective_strip(vpu, strip),
-             [&](int i, int) {
-    for (int d = 0; d < k; ++d) {
-      if (col_active(active, d)) {
-        acc[static_cast<std::size_t>(d)] = vpu.vsplat(0.0);
-      }
-    }
-    for (int j = 0; j < a.width(); ++j) {
-      // ONE value/index slab load feeds every active gather/fma stream.
-      const sim::Vec vv = vpu.vload(a.vals(j) + i);
-      const sim::Vec idx = vpu.vload_i32(a.cols(j) + i);
-      for (int d = 0; d < k; ++d) {
-        if (!col_active(active, d)) continue;
-        const sim::Vec xs =
-            vpu.vgather(x.data() + static_cast<std::size_t>(d) * n, idx);
-        acc[static_cast<std::size_t>(d)] =
-            vpu.vfma(vv, xs, acc[static_cast<std::size_t>(d)]);
-        vpu.sarith(1);  // stream-loop control
-      }
-    }
-    for (int d = 0; d < k; ++d) {
-      if (!col_active(active, d)) continue;
-      vpu.vstore(y.data() + static_cast<std::size_t>(d) * n + i,
-                 acc[static_cast<std::size_t>(d)]);
-    }
-  });
-}
-
-void vspmv_multi(sim::Vpu& vpu, const SellMatrix& a,
-                 std::span<const double> x, std::span<double> y, int k,
-                 int strip, std::span<const char> active) {
-  const std::size_t n = check_multi(y.size(), k, active, "vspmv_multi(sell)");
-  check_len(x.size(), y.size(), "vspmv_multi(sell)");
-  check_len(n, static_cast<std::size_t>(a.rows()), "vspmv_multi(sell)");
-  if (!any_active(active, k)) return;
-  if (!vector_path(vpu) || k == 1) {
-    for (int d = 0; d < k; ++d) {
-      if (!col_active(active, d)) continue;
-      const std::size_t off = static_cast<std::size_t>(d) * n;
-      vspmv(vpu, a, x.subspan(off, n), y.subspan(off, n), strip);
-    }
-    return;
-  }
-  const int eff = effective_strip(vpu, strip);
-  // Vec accumulators, as above: register values only, never mapped.
-  // vecfd-lint: allow(measured-alloc) register-value storage, never mapped
-  std::vector<sim::Vec> acc(static_cast<std::size_t>(k));
-  for (int s = 0; s < a.num_slices(); ++s) {
-    const int nr = a.slice_rows(s);
-    const int base = a.slice_row_base(s);
-    for (int i = 0; i < nr;) {
-      // vecfd-lint: allow(strip-mine-contract) slice-local strip loop: SELL
-      const int vl = vpu.set_vl(std::min(eff, nr - i));
-      for (int d = 0; d < k; ++d) {
-        if (col_active(active, d)) {
-          acc[static_cast<std::size_t>(d)] = vpu.vsplat(0.0);
-        }
-      }
-      for (int j = 0; j < a.slice_width(s); ++j) {
-        // ONE value (and, off the fast path, index) slab load feeds every
-        // active stream — the same sharing lever as the ELL overload.
-        const sim::Vec vv = vpu.vload(a.vals(s, j) + i);
-        const int c0 = a.coalesced_col(s, j);
-        sim::Vec idx;
-        if (c0 < 0) idx = vpu.vload_i32(a.cols(s, j) + i);
-        for (int d = 0; d < k; ++d) {
-          if (!col_active(active, d)) continue;
-          const double* xd = x.data() + static_cast<std::size_t>(d) * n;
-          sim::Vec xs;
-          if (c0 >= 0) {
-            xs = vpu.vload(xd + c0 + i);
-            vpu.note_coalesced_lanes(static_cast<std::uint64_t>(vl));
-          } else {
-            xs = vpu.vgather(xd, idx);
-          }
-          acc[static_cast<std::size_t>(d)] =
-              vpu.vfma(vv, xs, acc[static_cast<std::size_t>(d)]);
-          vpu.sarith(1);  // stream-loop control
-        }
-      }
-      if (base >= 0) {
-        for (int d = 0; d < k; ++d) {
-          if (!col_active(active, d)) continue;
-          vpu.vstore(y.data() + static_cast<std::size_t>(d) * n + base + i,
-                     acc[static_cast<std::size_t>(d)]);
-        }
-      } else {
-        const sim::Vec ridx = vpu.vload_i32(a.row_ids(s) + i);
-        for (int d = 0; d < k; ++d) {
-          if (!col_active(active, d)) continue;
-          vpu.vscatter(y.data() + static_cast<std::size_t>(d) * n, ridx,
-                       acc[static_cast<std::size_t>(d)]);
-        }
-      }
-      vpu.sarith(2);  // strip bump + loop bound check
-      i += vl;
-    }
-    vpu.sarith(1);  // slice-loop control
-  }
-}
-
-void OperatorMirror::apply_multi(sim::Vpu& vpu, std::span<const double> x,
-                                 std::span<double> y, int k, int strip,
-                                 std::span<const char> active) const {
-  switch (format_) {
-    case SpmvFormat::kCsrHost: {
-      const std::size_t n =
-          check_multi(y.size(), k, active, "apply_multi(csr)");
-      check_len(x.size(), y.size(), "apply_multi(csr)");
-      for (int d = 0; d < k; ++d) {
-        if (!col_active(active, d)) continue;
-        const std::size_t off = static_cast<std::size_t>(d) * n;
-        vspmv(vpu, *csr_, x.subspan(off, n), y.subspan(off, n));
-      }
-      return;
-    }
-    case SpmvFormat::kEll:
-      vspmv_multi(vpu, ell_, x, y, k, strip, active);
-      return;
-    case SpmvFormat::kSell:
-      vspmv_multi(vpu, sell_, x, y, k, strip, active);
-      return;
-  }
-}
-
-void vdot_multi(sim::Vpu& vpu, std::span<const double> a,
-                std::span<const double> b, int k, std::span<double> out,
-                int strip, std::span<const char> active) {
-  const std::size_t n = check_multi(a.size(), k, active, "vdot_multi");
-  check_len(b.size(), a.size(), "vdot_multi");
-  check_len(out.size(), static_cast<std::size_t>(k), "vdot_multi");
-  if (!any_active(active, k)) return;
-  if (!vector_path(vpu) || k == 1) {
-    for (int d = 0; d < k; ++d) {
-      if (!col_active(active, d)) continue;
-      const std::size_t off = static_cast<std::size_t>(d) * n;
-      out[static_cast<std::size_t>(d)] =
-          vdot(vpu, a.subspan(off, n), b.subspan(off, n), strip);
-    }
-    return;
-  }
-  for (int d = 0; d < k; ++d) {
-    if (col_active(active, d)) out[static_cast<std::size_t>(d)] = 0.0;
-  }
-  for_strips(vpu, static_cast<int>(n), effective_strip(vpu, strip),
-             [&](int i, int) {
-    for (int d = 0; d < k; ++d) {
-      if (!col_active(active, d)) continue;
-      const std::size_t off = static_cast<std::size_t>(d) * n;
-      const sim::Vec va = vpu.vload(a.data() + off + i);
-      const sim::Vec vb = vpu.vload(b.data() + off + i);
-      out[static_cast<std::size_t>(d)] = vpu.sadd(
-          out[static_cast<std::size_t>(d)], vpu.vredsum(vpu.vmul(va, vb)));
-    }
-  });
-}
-
-void vaxpy_multi(sim::Vpu& vpu, std::span<const double> alpha,
-                 std::span<const double> x, std::span<double> y, int k,
-                 int strip, std::span<const char> active) {
-  const std::size_t n = check_multi(y.size(), k, active, "vaxpy_multi");
-  check_len(x.size(), y.size(), "vaxpy_multi");
-  check_len(alpha.size(), static_cast<std::size_t>(k), "vaxpy_multi");
-  if (!any_active(active, k)) return;
-  if (!vector_path(vpu) || k == 1) {
-    for (int d = 0; d < k; ++d) {
-      if (!col_active(active, d)) continue;
-      const std::size_t off = static_cast<std::size_t>(d) * n;
-      vaxpy(vpu, alpha[static_cast<std::size_t>(d)], x.subspan(off, n),
-            y.subspan(off, n), strip);
-    }
-    return;
-  }
-  for_strips(vpu, static_cast<int>(n), effective_strip(vpu, strip),
-             [&](int i, int) {
-    for (int d = 0; d < k; ++d) {
-      if (!col_active(active, d)) continue;
-      const std::size_t off = static_cast<std::size_t>(d) * n;
-      const sim::Vec vy = vpu.vload(y.data() + off + i);
-      const sim::Vec vx = vpu.vload(x.data() + off + i);
-      vpu.vstore(y.data() + off + i,
-                 vpu.vfma_s(vx, alpha[static_cast<std::size_t>(d)], vy));
-    }
-  });
-}
-
-void vsub_multi(sim::Vpu& vpu, std::span<const double> a,
-                std::span<const double> b, std::span<double> out, int k,
-                int strip, std::span<const char> active) {
-  const std::size_t n = check_multi(out.size(), k, active, "vsub_multi");
-  check_len(a.size(), out.size(), "vsub_multi");
-  check_len(b.size(), out.size(), "vsub_multi");
-  if (!any_active(active, k)) return;
-  if (!vector_path(vpu) || k == 1) {
-    for (int d = 0; d < k; ++d) {
-      if (!col_active(active, d)) continue;
-      const std::size_t off = static_cast<std::size_t>(d) * n;
-      vsub(vpu, a.subspan(off, n), b.subspan(off, n), out.subspan(off, n),
-           strip);
-    }
-    return;
-  }
-  for_strips(vpu, static_cast<int>(n), effective_strip(vpu, strip),
-             [&](int i, int) {
-    for (int d = 0; d < k; ++d) {
-      if (!col_active(active, d)) continue;
-      const std::size_t off = static_cast<std::size_t>(d) * n;
-      const sim::Vec va = vpu.vload(a.data() + off + i);
-      const sim::Vec vb = vpu.vload(b.data() + off + i);
-      vpu.vstore(out.data() + off + i, vpu.vsub(va, vb));
-    }
-  });
-}
-
-void vcopy_multi(sim::Vpu& vpu, std::span<const double> src,
-                 std::span<double> dst, int k, int strip,
-                 std::span<const char> active) {
-  const std::size_t n = check_multi(dst.size(), k, active, "vcopy_multi");
-  check_len(src.size(), dst.size(), "vcopy_multi");
-  if (!any_active(active, k)) return;
-  if (!vector_path(vpu) || k == 1) {
-    for (int d = 0; d < k; ++d) {
-      if (!col_active(active, d)) continue;
-      const std::size_t off = static_cast<std::size_t>(d) * n;
-      vcopy(vpu, src.subspan(off, n), dst.subspan(off, n), strip);
-    }
-    return;
-  }
-  for_strips(vpu, static_cast<int>(n), effective_strip(vpu, strip),
-             [&](int i, int) {
-    for (int d = 0; d < k; ++d) {
-      if (!col_active(active, d)) continue;
-      const std::size_t off = static_cast<std::size_t>(d) * n;
-      vpu.vstore(dst.data() + off + i, vpu.vload(src.data() + off + i));
-    }
-  });
-}
-
-void vjacobi_apply_multi(sim::Vpu& vpu, std::span<const double> dinv,
-                         std::span<const double> r, std::span<double> z,
-                         int k, int strip, std::span<const char> active) {
-  if (dinv.empty()) {
-    vcopy_multi(vpu, r, z, k, strip, active);
-    return;
-  }
-  const std::size_t n = check_multi(z.size(), k, active,
-                                    "vjacobi_apply_multi");
-  check_len(r.size(), z.size(), "vjacobi_apply_multi");
-  check_len(dinv.size(), n, "vjacobi_apply_multi");
-  if (!any_active(active, k)) return;
-  if (!vector_path(vpu) || k == 1) {
-    for (int d = 0; d < k; ++d) {
-      if (!col_active(active, d)) continue;
-      const std::size_t off = static_cast<std::size_t>(d) * n;
-      vjacobi_apply(vpu, dinv, r.subspan(off, n), z.subspan(off, n), strip);
-    }
-    return;
-  }
-  for_strips(vpu, static_cast<int>(n), effective_strip(vpu, strip),
-             [&](int i, int) {
-    for (int d = 0; d < k; ++d) {
-      if (!col_active(active, d)) continue;
-      const std::size_t off = static_cast<std::size_t>(d) * n;
-      const sim::Vec vd = vpu.vload(dinv.data() + i);
-      const sim::Vec vr = vpu.vload(r.data() + off + i);
-      vpu.vstore(z.data() + off + i, vpu.vmul(vd, vr));
-    }
-  });
-}
-
-namespace {
-
-/// out_d = base_d + scale[d]·scaled_d for every active column — the blocked
-/// axpby_into (the s / r updates of the multi solver).
-void axpby_into_multi(sim::Vpu& vpu, std::span<const double> base,
-                      std::span<const double> scale,
-                      std::span<const double> scaled, std::span<double> out,
-                      int k, int strip, std::span<const char> active) {
-  const std::size_t n = check_multi(out.size(), k, active,
-                                    "axpby_into_multi");
-  if (!any_active(active, k)) return;
-  if (!vector_path(vpu) || k == 1) {
-    for (int d = 0; d < k; ++d) {
-      if (!col_active(active, d)) continue;
-      const std::size_t off = static_cast<std::size_t>(d) * n;
-      axpby_into(vpu, base.subspan(off, n), scale[static_cast<std::size_t>(d)],
-                 scaled.subspan(off, n), out.subspan(off, n), strip);
-    }
-    return;
-  }
-  for_strips(vpu, static_cast<int>(n), effective_strip(vpu, strip),
-             [&](int i, int) {
-    for (int d = 0; d < k; ++d) {
-      if (!col_active(active, d)) continue;
-      const std::size_t off = static_cast<std::size_t>(d) * n;
-      const sim::Vec vb = vpu.vload(base.data() + off + i);
-      const sim::Vec vs = vpu.vload(scaled.data() + off + i);
-      vpu.vstore(out.data() + off + i,
-                 vpu.vfma_s(vs, scale[static_cast<std::size_t>(d)], vb));
-    }
-  });
-}
-
-/// Blocked BiCGStab direction update: restart columns take p_d = r_d, the
-/// rest p_d = r_d + beta[d]·(p_d − omega[d]·v_d) — per-column identical to
-/// vcopy / bicgstab_p_update.
+/// Blocked BiCGStab direction update: restart columns take P_d = R_d, the
+/// rest P_d = R_d + beta[d]·(P_d − omega[d]·V_d).
 void bicgstab_p_update_multi(sim::Vpu& vpu, std::span<const double> r,
                              std::span<const double> beta,
                              std::span<const double> omega,
@@ -794,19 +624,24 @@ void bicgstab_p_update_multi(sim::Vpu& vpu, std::span<const double> r,
                              int k, std::span<const char> restart, int strip,
                              std::span<const char> active) {
   const std::size_t n = check_multi(p.size(), k, active,
-                                    "bicgstab_p_update_multi");
+                                    "bicgstab_p_update");
   if (!any_active(active, k)) return;
-  if (!vector_path(vpu) || k == 1) {
+  if (!vector_path(vpu)) {
     for (int d = 0; d < k; ++d) {
       if (!col_active(active, d)) continue;
-      const std::size_t off = static_cast<std::size_t>(d) * n;
-      if (restart[static_cast<std::size_t>(d)]) {
-        vcopy(vpu, r.subspan(off, n), p.subspan(off, n), strip);
-      } else {
-        bicgstab_p_update(vpu, r.subspan(off, n),
-                          beta[static_cast<std::size_t>(d)],
-                          omega[static_cast<std::size_t>(d)],
-                          v.subspan(off, n), p.subspan(off, n), strip);
+      const std::size_t ud = static_cast<std::size_t>(d);
+      const std::size_t off = ud * n;
+      for (std::size_t i = off; i < off + n; ++i) {
+        if (restart[ud]) {
+          vpu.sstore(p.data() + i, vpu.sload(r.data() + i));
+        } else {
+          const double pi = vpu.sload(p.data() + i);
+          const double vi = vpu.sload(v.data() + i);
+          const double ri = vpu.sload(r.data() + i);
+          vpu.sstore(p.data() + i,
+                     vpu.sfma(vpu.sfma(vi, -omega[ud], pi), beta[ud], ri));
+        }
+        vpu.sarith(1);
       }
     }
     return;
@@ -907,8 +742,7 @@ SolveReport vcg(sim::Vpu& vpu, const CsrMatrix& a, std::span<const double> b,
 namespace {
 
 /// The single-Vpu execution space of bicgstab_recurrence: k columns on one
-/// Vpu, the block operations issued through the fused multi kernels (which
-/// degrade to the single-RHS kernels at k = 1 and on scalar machines).
+/// Vpu, the block operations issued through the fused multi kernels.
 struct VpuBlockSpace {
   sim::Vpu& vpu;
   const CsrMatrix& a;
@@ -973,7 +807,7 @@ struct VpuBlockSpace {
   void axpby_block(std::span<const double> base, std::span<const double> scale,
                    std::span<const double> scaled, std::span<double> out,
                    std::span<const char> active) {
-    axpby_into_multi(vpu, base, scale, scaled, out, k, strip, active);
+    solver::axpby_block(vpu, base, scale, scaled, out, k, strip, active);
   }
   void p_update_block(std::span<const double> beta,
                       std::span<const double> omega,

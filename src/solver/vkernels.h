@@ -152,8 +152,12 @@ int solve_effective_strip(int requested, const sim::MachineConfig& machine);
 
 // ---- instrumented kernels ---------------------------------------------
 // All lengths must match; dimension mismatches throw std::invalid_argument.
+// A kernel that also has a multi-RHS form below (vspmv on ELL/SELL, vdot,
+// vaxpy, vxpby, vsub, vcopy, vjacobi_apply) is that blocked kernel called
+// with k = 1: one body per operation.
 
-/// y = A·x through the Vpu (unit-stride slab loads + vgather + vfma).
+/// y = A·x through the Vpu (unit-stride slab loads + vgather + vfma).  x
+/// has a.num_cols() entries (a shard's owned + ghost columns), y a.rows().
 void vspmv(sim::Vpu& vpu, const EllMatrix& a, std::span<const double> x,
            std::span<double> y, int strip = 0);
 
@@ -256,11 +260,12 @@ void vpack_strided(sim::Vpu& vpu, const double* base, std::ptrdiff_t stride,
 // ---- multi-RHS (blocked) kernels --------------------------------------
 // A "block" is k same-length columns stored node-major: column d occupies
 // [d·n, (d+1)·n) of the span, so every column is a unit-stride stream and
-// each column's instruction sequence is identical to the single-RHS kernel
-// above (per-column results are bit-for-bit equal).  The lever is the
-// shared operator: vspmv_multi walks each ELL (value, index) slab with ONE
-// unit-stride vload pair per strip and feeds all k gather/fma streams from
-// it — k× fewer operator slab loads than k single SpMVs (DESIGN.md §5).
+// each column's instruction sequence is identical to the k = 1 call (the
+// single-RHS kernel above; per-column results are bit-for-bit equal).  The
+// lever is the shared operator: vspmv_multi walks each ELL (value, index)
+// slab with ONE unit-stride vload pair per strip and feeds all k
+// gather/fma streams from it — k× fewer operator slab loads than k single
+// SpMVs (DESIGN.md §5).
 // The BLAS-1 _multi kernels fuse the k columns into a single strip-mined
 // pass (one vsetvl / loop-control sequence per strip for all columns),
 // returning per-column results.
@@ -269,10 +274,10 @@ void vpack_strided(sim::Vpu& vpu, const double* base, std::ptrdiff_t stride,
 // inactive columns are neither read nor written — the solvers mask out
 // converged/broken-down columns so their iterates stay frozen exactly as a
 // standalone solve would leave them.  On a scalar-only machine every multi
-// kernel degrades to the single-RHS scalar fallback per active column.
+// kernel runs its instrumented scalar loop over each active column in turn.
 
 /// Y_d = A·X_d for every active column (shared slab loads, k gather/fma
-/// streams).
+/// streams); X holds k columns of a.num_cols(), Y k columns of a.rows().
 void vspmv_multi(sim::Vpu& vpu, const EllMatrix& a, std::span<const double> x,
                  std::span<double> y, int k, int strip = 0,
                  std::span<const char> active = {});
