@@ -465,7 +465,6 @@ TimeLoopResult TimeLoop::run(sim::Vpu& vpu) {
       }
     }
 
-
     // ---- phase 10: pressure-Poisson CG ----------------------------------
     for (int n = 0; n < nn; ++n) {
       for (int d = 0; d < fem::kDim; ++d) {

@@ -243,8 +243,7 @@ struct HostBlockSpace {
   }
   void dot_block(std::span<const double> u, std::span<const double> v,
                  std::span<double> out, std::span<const char> active) const {
-    each(active,
-         [&](std::size_t d) { out[d] = solver::dot(col(u, d), col(v, d)); });
+    each(active, [&](std::size_t d) { out[d] = dot(col(u, d), col(v, d)); });
   }
   void axpby_block(std::span<const double> base, std::span<const double> scale,
                    std::span<const double> scaled, std::span<double> out,

@@ -143,6 +143,38 @@ TEST(MultiRhsKernels, Blas1MatchesSinglePerColumn) {
   }
 }
 
+TEST(MultiRhsKernels, SpmvTakesShardLocalColumnBlocks) {
+  // A shard's operator keeps rows [10, 30) of a 40-row system with its
+  // columns renumbered into a local range wider than the row count (owned
+  // + ghosts); the blocked SpMV streams k x-columns of that local width.
+  const int n = 40;
+  std::mt19937 rng(12);
+  const CsrMatrix a = random_system(n, 3, /*spd=*/false, rng);
+  EllMatrix local;
+  local.assign(a, 10, 30, n, [](int c) { return (c + 7) % 40; });
+  ASSERT_EQ(local.rows(), 20);
+  ASSERT_EQ(local.num_cols(), n);
+  const int k = 2;
+  const std::vector<double> X = random_block(n, k, 31);
+  std::vector<double> Y(static_cast<std::size_t>(local.rows()) * k, 0.0);
+
+  sim::Vpu vpu(platforms::riscv_vec());
+  solver::vspmv_multi(vpu, local, X, Y, k, 16);
+  sim::Vpu ref(platforms::riscv_vec());
+  std::vector<double> y(static_cast<std::size_t>(local.rows()));
+  for (int d = 0; d < k; ++d) {
+    solver::vspmv(ref, local, column(X, n, d), y, 16);
+    for (int i = 0; i < local.rows(); ++i) {
+      EXPECT_EQ(Y[static_cast<std::size_t>(d * local.rows() + i)], y[i])
+          << "col " << d << " row " << i;
+    }
+  }
+  // x columns of the row count instead of the local column count
+  std::vector<double> short_x(static_cast<std::size_t>(local.rows()) * k);
+  EXPECT_THROW(solver::vspmv_multi(vpu, local, short_x, Y, k, 16),
+               std::invalid_argument);
+}
+
 TEST(MultiRhsKernels, InactiveColumnsAreNeverTouched) {
   const int n = 40;
   const int k = 3;
