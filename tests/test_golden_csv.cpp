@@ -14,7 +14,13 @@
 //   * tests/golden/bicgstab_counters.csv — every exit of the host and
 //     instrumented BiCGStab solvers (single-RHS and blocked), per format
 //     and machine: per-column reports, a hash of x and the histories, and
-//     every registered counter of the Vpu solves.
+//     every registered counter of the Vpu solves;
+//   * tests/golden/assembly_counters.csv — every registered counter of
+//     assembly phases 0–8 and a hash of the assembled rhs and matrix, over
+//     4 platforms × 5 optimization levels × 2 VECTOR_SIZEs × 2 schemes.
+//     The grid drives the vector and the scalar lane form of every
+//     assembly subkernel (checked by GoldenAssemblyCounters.
+//     GridDrivesBothLaneFormsOfEverySubkernel).
 //
 // For each golden:
 //
@@ -23,7 +29,7 @@
 //   * the VALUES are tolerance-compared per cell (numeric cells within
 //     1e-9 relative, everything else exactly), so last-ulp timing noise
 //     across compilers doesn't flake while real counter regressions fail.
-//     The two counter goldens are the exception: they pin the instruction
+//     The counter goldens are the exception: they pin the instruction
 //     streams (and the BSP epoch structure of the sharded solve), so their
 //     values (written at %.17g) must match bitwise.
 //
@@ -42,6 +48,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <span>
 #include <sstream>
 #include <string>
@@ -55,6 +62,7 @@
 #include "fem/partition.h"
 #include "fem/projection.h"
 #include "fem/shape.h"
+#include "miniapp/driver.h"
 #include "miniapp/time_loop.h"
 #include "platforms/platforms.h"
 #include "sim/fault_injection.h"
@@ -306,6 +314,73 @@ std::string generate_bicgstab_counters_csv() {
   return os.str();
 }
 
+/// The assembly grid: every platform × optimization level, a VECTOR_SIZE
+/// below and one near the vlmax of the long-vector machines, both schemes.
+struct AssemblyPoint {
+  sim::MachineConfig machine;
+  miniapp::MiniAppConfig cfg;
+};
+
+std::vector<AssemblyPoint> assembly_grid() {
+  std::vector<AssemblyPoint> grid;
+  for (const sim::MachineConfig& m :
+       {platforms::riscv_vec(), platforms::riscv_vec_scalar(),
+        platforms::sx_aurora(), platforms::mn4_avx512()}) {
+    for (const miniapp::OptLevel opt :
+         {miniapp::OptLevel::kScalar, miniapp::OptLevel::kVanilla,
+          miniapp::OptLevel::kVec2, miniapp::OptLevel::kIVec2,
+          miniapp::OptLevel::kVec1}) {
+      for (const int vs : {16, 240}) {
+        for (const fem::Scheme scheme :
+             {fem::Scheme::kExplicit, fem::Scheme::kSemiImplicit}) {
+          miniapp::MiniAppConfig cfg;
+          cfg.vector_size = vs;
+          cfg.opt = opt;
+          cfg.scheme = scheme;
+          grid.push_back({m, cfg});
+        }
+      }
+    }
+  }
+  return grid;
+}
+
+/// The assembly counter golden workload: MiniApp::run on a 4×4×2 mesh at
+/// every assembly_grid() point.  One row per point and phase 0–8 with an
+/// FNV hash of the assembled rhs and matrix values and every registered
+/// counter of that phase.
+std::string generate_assembly_counters_csv() {
+  const fem::Mesh mesh({.nx = 4, .ny = 4, .nz = 2});
+  const fem::State state(mesh);
+  std::ostringstream os;
+  os << "machine,opt,vs,scheme,phase,hash";
+  sim::Counters::visit_fields(
+      [&](const sim::CounterInfo& info) { os << ',' << info.name; });
+  os << '\n';
+  for (const AssemblyPoint& pt : assembly_grid()) {
+    const miniapp::MiniApp app(mesh, state, pt.cfg);
+    sim::Vpu vpu(pt.machine);
+    const miniapp::MiniAppResult res = app.run(vpu);
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    fnv_mix(h, res.rhs);
+    if (res.has_matrix) fnv_mix(h, res.matrix.vals());
+    char hex[20];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(h));
+    for (int p = 0; p <= miniapp::kNumPhases; ++p) {
+      os << pt.machine.name << ',' << miniapp::to_string(pt.cfg.opt) << ','
+         << pt.cfg.vector_size << ',' << fem::to_string(pt.cfg.scheme) << ','
+         << p << ',' << hex;
+      res.phase[static_cast<std::size_t>(p)].visit(
+          [&](const sim::CounterInfo&, const auto& v) {
+            os << ',' << format_cell(v);
+          });
+      os << '\n';
+    }
+  }
+  return os.str();
+}
+
 struct Golden {
   const char* path;
   std::string (*generate)();
@@ -318,6 +393,8 @@ const Golden kShardedCounters{VECFD_GOLDEN_DIR "/sharded_cg_counters.csv",
                               generate_sharded_counters_csv};
 const Golden kBicgstabCounters{VECFD_GOLDEN_DIR "/bicgstab_counters.csv",
                                generate_bicgstab_counters_csv};
+const Golden kAssemblyCounters{VECFD_GOLDEN_DIR "/assembly_counters.csv",
+                               generate_assembly_counters_csv};
 
 std::vector<std::string> lines_of(const std::string& text) {
   std::vector<std::string> out;
@@ -438,6 +515,36 @@ TEST(GoldenBicgstabCounters, ValuesMatchBitwise) {
   expect_values_bitwise(kBicgstabCounters);
 }
 
+TEST(GoldenAssemblyCounters, GoldenFileExists) {
+  expect_golden_exists(kAssemblyCounters);
+}
+
+TEST(GoldenAssemblyCounters, SchemaIsByteStable) {
+  expect_schema_byte_stable(kAssemblyCounters);
+}
+
+TEST(GoldenAssemblyCounters, ValuesMatchBitwise) {
+  VECFD_SKIP_UNDER_ASAN();
+  expect_values_bitwise(kAssemblyCounters);
+}
+
+// Every subkernel with a vector and a scalar lane form runs in both forms
+// somewhere in the golden grid, so the bitwise golden pins both.  phase8
+// is never vectorized (aliasing scatter).
+TEST(GoldenAssemblyCounters, GridDrivesBothLaneFormsOfEverySubkernel) {
+  std::map<std::string, std::pair<bool, bool>> seen;  // id → {vector, scalar}
+  for (const AssemblyPoint& pt : assembly_grid()) {
+    for (const auto& [id, d] : miniapp::build_plan(pt.machine, pt.cfg).all()) {
+      (d.vectorize ? seen[id].first : seen[id].second) = true;
+    }
+  }
+  for (const auto& [id, forms] : seen) {
+    if (id == "phase8") continue;
+    EXPECT_TRUE(forms.first) << id << " is never vectorized in the grid";
+    EXPECT_TRUE(forms.second) << id << " is never scalar in the grid";
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -447,7 +554,8 @@ int main(int argc, char** argv) {
   }
   if (regen) {
     for (const Golden* g :
-         {&kSweep, &kCampaign, &kShardedCounters, &kBicgstabCounters}) {
+         {&kSweep, &kCampaign, &kShardedCounters, &kBicgstabCounters,
+          &kAssemblyCounters}) {
       std::ofstream os(g->path, std::ios::binary);
       if (!os) {
         std::fprintf(stderr, "cannot open %s\n", g->path);
