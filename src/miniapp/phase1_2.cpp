@@ -59,64 +59,35 @@ void p1_work_a(Vpu& vpu, const Ctx& ctx, ElementChunk& ch, int iv) {
   vpu.sstore_i32(ch.etype() + iv, etype);
 }
 
-/// Work B, scalar: gather the element node coordinates.
-void p1_work_b_scalar(Vpu& vpu, const Ctx& ctx, ElementChunk& ch, int iv) {
-  const fem::Mesh& mesh = *ctx.mesh;
+/// Work B: gather the element node coordinates.  Vectorized, this is the
+/// VEC1 fission product: indexed gathers over ivect.
+template <class L>
+void p1_work_b(L l, const Ctx& ctx, ElementChunk& ch) {
+  const double* coords = ctx.mesh->coords_data();
   for (int a = 0; a < kNodes; ++a) {
-    const std::int32_t n = vpu.sload_i32(ch.lnods(a) + iv);
-    vpu.sarith(1);  // address scale
+    const auto i3 = l.imul_s(l.load_i32(ch.lnods(a)), kDim);
     for (int d = 0; d < kDim; ++d) {
-      const double x =
-          vpu.sload(mesh.coords_data() + static_cast<std::size_t>(n) * kDim + d);
-      vpu.sstore(ch.elcod(d, a) + iv, x);
+      l.store(ch.elcod(d, a), l.gather(coords, l.iadd_s(i3, d)));
     }
-  }
-}
-
-/// Work B, vector (the VEC1 fission product): indexed gathers over ivect.
-void p1_work_b_vector(Vpu& vpu, const Ctx& ctx, ElementChunk& ch) {
-  const fem::Mesh& mesh = *ctx.mesh;
-  const int vs = ch.vs();
-  for (int off = 0; off < vs;) {
-    const int vl = vpu.set_vl(vs - off);
-    for (int a = 0; a < kNodes; ++a) {
-      const Vec idx = vpu.vload_i32(ch.lnods(a) + off);
-      const Vec i3 = vpu.vimul_s(idx, kDim);
-      for (int d = 0; d < kDim; ++d) {
-        const Vec id = vpu.viadd_s(i3, d);
-        const Vec x = vpu.vgather(mesh.coords_data(), id);
-        vpu.vstore(ch.elcod(d, a) + off, x);
-      }
-    }
-    off += vl;
   }
 }
 
 // ---- phase 2 -----------------------------------------------------------
 
-/// Vanilla: outer ivect loop with the VECTOR_DIM bound re-loaded from
-/// memory every iteration — the compiler cannot vectorize anything here.
-void p2_scalar(Vpu& vpu, const Ctx& ctx, ElementChunk& ch,
-               bool reload_bound) {
+/// Gather the element unknowns node by node.  Scalar, this is the vanilla
+/// ivect-outer loop; vectorized, it is IVEC2's interchanged nest with
+/// ivect innermost — long gathers.
+template <class L>
+void p2_gather(L l, const Ctx& ctx, ElementChunk& ch) {
   const double* unk = ctx.state->unknowns_data();
   const double* unk_old = ctx.state->unknowns_old_data();
-  for (int iv = 0; iv < ch.vs(); ++iv) {
-    if (reload_bound) {
-      (void)vpu.sload(ctx.vector_dim_slot);  // fetch VECTOR_DIM
-      vpu.sarith(1);                         // compare against it
+  for (int a = 0; a < kNodes; ++a) {
+    const auto i4 = l.imul_s(l.load_i32(ch.lnods(a)), kDofs);
+    for (int dof = 0; dof < kDofs; ++dof) {
+      l.store(ch.elunk(dof, a), l.gather(unk, l.iadd_s(i4, dof)));
     }
-    for (int a = 0; a < kNodes; ++a) {
-      const std::int32_t n = vpu.sload_i32(ch.lnods(a) + iv);
-      vpu.sarith(1);  // base = n * kDofs
-      const std::size_t base = static_cast<std::size_t>(n) * kDofs;
-      for (int dof = 0; dof < kDofs; ++dof) {
-        const double x = vpu.sload(unk + base + dof);
-        vpu.sstore(ch.elunk(dof, a) + iv, x);
-      }
-      for (int d = 0; d < kDim; ++d) {
-        const double x = vpu.sload(unk_old + base + d);
-        vpu.sstore(ch.elvel_old(d, a) + iv, x);
-      }
+    for (int d = 0; d < kDim; ++d) {
+      l.store(ch.elvel_old(d, a), l.gather(unk_old, l.iadd_s(i4, d)));
     }
   }
 }
@@ -133,6 +104,7 @@ void p2_vec2(Vpu& vpu, const Ctx& ctx, ElementChunk& ch) {
       const std::int32_t n = vpu.sload_i32(ch.lnods(a) + iv);
       vpu.sarith(1);
       const std::size_t base = static_cast<std::size_t>(n) * kDofs;
+      // vecfd-lint: allow(strip-mine-contract) VEC2's per-node vl=4/3 copy
       vpu.set_vl(kDofs);
       const Vec cur = vpu.vload(unk + base);
       vpu.vstore_strided(ch.elunk(0, a) + iv, plane, cur);
@@ -143,31 +115,6 @@ void p2_vec2(Vpu& vpu, const Ctx& ctx, ElementChunk& ch) {
   }
 }
 
-/// IVEC2: interchanged loops put ivect innermost — long gathers.
-void p2_ivec2(Vpu& vpu, const Ctx& ctx, ElementChunk& ch) {
-  const double* unk = ctx.state->unknowns_data();
-  const double* unk_old = ctx.state->unknowns_old_data();
-  const int vs = ch.vs();
-  for (int off = 0; off < vs;) {
-    const int vl = vpu.set_vl(vs - off);
-    for (int a = 0; a < kNodes; ++a) {
-      const Vec idx = vpu.vload_i32(ch.lnods(a) + off);
-      const Vec i4 = vpu.vimul_s(idx, kDofs);
-      for (int dof = 0; dof < kDofs; ++dof) {
-        const Vec id = vpu.viadd_s(i4, dof);
-        const Vec x = vpu.vgather(unk, id);
-        vpu.vstore(ch.elunk(dof, a) + off, x);
-      }
-      for (int d = 0; d < kDim; ++d) {
-        const Vec id = vpu.viadd_s(i4, d);
-        const Vec x = vpu.vgather(unk_old, id);
-        vpu.vstore(ch.elvel_old(d, a) + off, x);
-      }
-    }
-    off += vl;
-  }
-}
-
 }  // namespace
 
 void phase1(Vpu& vpu, const Ctx& ctx, ElementChunk& ch) {
@@ -175,45 +122,50 @@ void phase1(Vpu& vpu, const Ctx& ctx, ElementChunk& ch) {
   if (plan.p1_split) {
     // VEC1: fissioned loops — work A first, then work B.
     for (int iv = 0; iv < ch.vs(); ++iv) p1_work_a(vpu, ctx, ch, iv);
-    if (plan.p1_work_b.vectorize) {
-      p1_work_b_vector(vpu, ctx, ch);
-    } else {
-      for (int iv = 0; iv < ch.vs(); ++iv) p1_work_b_scalar(vpu, ctx, ch, iv);
-    }
+    detail::for_groups(vpu, ch, [&](int off, int n) {
+      detail::for_lanes(vpu, plan.p1_work_b.vectorize, off, n,
+                        [&](auto l) { p1_work_b(l, ctx, ch); });
+    });
   } else {
     // fused: one outer loop over elements, A then B per element — the shape
     // that defeats the vectorizer (§4, Algorithm 3).
     for (int iv = 0; iv < ch.vs(); ++iv) {
       p1_work_a(vpu, ctx, ch, iv);
-      p1_work_b_scalar(vpu, ctx, ch, iv);
+      p1_work_b(detail::ScalarLane{vpu, iv}, ctx, ch);
     }
   }
 }
 
 void phase2(Vpu& vpu, const Ctx& ctx, ElementChunk& ch) {
   const PhasePlan& plan = *ctx.plan;
+  bool vectorize = plan.p2.vectorize;
   switch (plan.p2_shape) {
     case Phase2Shape::kScalarOuterIvect:
-      p2_scalar(vpu, ctx, ch, /*reload_bound=*/true);
-      break;
+      // vanilla: the VECTOR_DIM bound is re-loaded from memory every
+      // iteration — the compiler cannot vectorize anything here
+      for (int iv = 0; iv < ch.vs(); ++iv) {
+        (void)vpu.sload(ctx.vector_dim_slot);  // fetch VECTOR_DIM
+        vpu.sarith(1);                         // compare against it
+        p2_gather(detail::ScalarLane{vpu, iv}, ctx, ch);
+      }
+      return;
     case Phase2Shape::kDofInner:
       // the vl=4 dof copy needs registers that hold all four dofs; a
       // narrower machine strip-mines nothing useful here and the compiler
       // falls back to scalar
-      if (plan.p2.vectorize && vpu.vlmax() >= fem::kDofs) {
+      if (vectorize && vpu.vlmax() >= fem::kDofs) {
         p2_vec2(vpu, ctx, ch);
-      } else {
-        p2_scalar(vpu, ctx, ch, /*reload_bound=*/false);
+        return;
       }
+      vectorize = false;
       break;
     case Phase2Shape::kIvectInner:
-      if (plan.p2.vectorize) {
-        p2_ivec2(vpu, ctx, ch);
-      } else {
-        p2_scalar(vpu, ctx, ch, /*reload_bound=*/false);
-      }
       break;
   }
+  detail::for_groups(vpu, ch, [&](int off, int n) {
+    detail::for_lanes(vpu, vectorize, off, n,
+                      [&](auto l) { p2_gather(l, ctx, ch); });
+  });
 }
 
 }  // namespace vecfd::miniapp

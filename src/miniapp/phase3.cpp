@@ -8,164 +8,81 @@ namespace vecfd::miniapp {
 using fem::kDim;
 using fem::kGauss;
 using fem::kNodes;
-using sim::Vec;
 using sim::Vpu;
 
 namespace {
 
 // jac(i,j) = Σ_a elcod(i,a)·∂N_a/∂ξ_j  → jtmp
-void s1_jac_vector(Vpu& vpu, const Ctx& ctx, ElementChunk& ch, int g,
-                   int off, int n) {
+template <class L>
+void s1_jac(L l, const Ctx& ctx, ElementChunk& ch, int g) {
   const fem::ShapeTable& sh = *ctx.shape;
-  vpu.set_vl(n);
   for (int i = 0; i < kDim; ++i) {
-    Vec ec[kNodes];
-    for (int a = 0; a < kNodes; ++a) ec[a] = vpu.vload(ch.elcod(i, a) + off);
+    typename L::V ec[kNodes];
+    for (int a = 0; a < kNodes; ++a) ec[a] = l.load(ch.elcod(i, a));
     for (int j = 0; j < kDim; ++j) {
-      Vec acc = vpu.vmul_s(ec[0], sh.dn(g, j, 0));
+      auto acc = l.mul_s(ec[0], sh.dn(g, j, 0));
       for (int a = 1; a < kNodes; ++a) {
-        acc = vpu.vfma_s(ec[a], sh.dn(g, j, a), acc);
+        acc = l.fma_s(ec[a], sh.dn(g, j, a), acc);
       }
-      vpu.vstore(ch.jtmp(i, j) + off, acc);
-    }
-  }
-}
-
-void s1_jac_scalar(Vpu& vpu, const Ctx& ctx, ElementChunk& ch, int g,
-                   int off, int n) {
-  const fem::ShapeTable& sh = *ctx.shape;
-  for (int iv = off; iv < off + n; ++iv) {
-    for (int i = 0; i < kDim; ++i) {
-      double ec[kNodes];
-      for (int a = 0; a < kNodes; ++a) ec[a] = vpu.sload(ch.elcod(i, a) + iv);
-      for (int j = 0; j < kDim; ++j) {
-        double acc = vpu.smul(ec[0], sh.dn(g, j, 0));
-        for (int a = 1; a < kNodes; ++a) {
-          acc = vpu.sfma(ec[a], sh.dn(g, j, a), acc);
-        }
-        vpu.sstore(ch.jtmp(i, j) + iv, acc);
-      }
+      l.store(ch.jtmp(i, j), acc);
     }
   }
 }
 
 // det, J⁻¹ (→ itmp, laid out [j][d] = ∂ξ_j/∂x_d) and gpvol
-void s2_inv_vector(Vpu& vpu, const Ctx& ctx, ElementChunk& ch, int g,
-                   int off, int n) {
+template <class L>
+void s2_inv(L l, const Ctx& ctx, ElementChunk& ch, int g) {
   const fem::ShapeTable& sh = *ctx.shape;
-  vpu.set_vl(n);
-  Vec j[kDim][kDim];
+  typename L::V j[kDim][kDim];
   for (int i = 0; i < kDim; ++i) {
-    for (int jj = 0; jj < kDim; ++jj) {
-      j[i][jj] = vpu.vload(ch.jtmp(i, jj) + off);
-    }
+    for (int jj = 0; jj < kDim; ++jj) j[i][jj] = l.load(ch.jtmp(i, jj));
   }
   auto cof = [&](int r1, int c1, int r2, int c2, int r3, int c3, int r4,
                  int c4) {
     // j[r1][c1]·j[r2][c2] − j[r3][c3]·j[r4][c4]
-    const Vec t = vpu.vmul(j[r1][c1], j[r2][c2]);
-    return vpu.vfnma(j[r3][c3], j[r4][c4], t);
+    const auto t = l.mul(j[r1][c1], j[r2][c2]);
+    return l.fnma(j[r3][c3], j[r4][c4], t);
   };
-  const Vec c00 = cof(1, 1, 2, 2, 1, 2, 2, 1);
-  const Vec c01 = cof(1, 2, 2, 0, 1, 0, 2, 2);
-  const Vec c02 = cof(1, 0, 2, 1, 1, 1, 2, 0);
-  const Vec c10 = cof(0, 2, 2, 1, 0, 1, 2, 2);
-  const Vec c11 = cof(0, 0, 2, 2, 0, 2, 2, 0);
-  const Vec c12 = cof(0, 1, 2, 0, 0, 0, 2, 1);
-  const Vec c20 = cof(0, 1, 1, 2, 0, 2, 1, 1);
-  const Vec c21 = cof(0, 2, 1, 0, 0, 0, 1, 2);
-  const Vec c22 = cof(0, 0, 1, 1, 0, 1, 1, 0);
-  Vec det = vpu.vmul(j[0][2], c02);
-  det = vpu.vfma(j[0][1], c01, det);
-  det = vpu.vfma(j[0][0], c00, det);
-  const Vec one = vpu.vsplat(1.0);
-  const Vec invdet = vpu.vdiv(one, det);
+  const auto c00 = cof(1, 1, 2, 2, 1, 2, 2, 1);
+  const auto c01 = cof(1, 2, 2, 0, 1, 0, 2, 2);
+  const auto c02 = cof(1, 0, 2, 1, 1, 1, 2, 0);
+  const auto c10 = cof(0, 2, 2, 1, 0, 1, 2, 2);
+  const auto c11 = cof(0, 0, 2, 2, 0, 2, 2, 0);
+  const auto c12 = cof(0, 1, 2, 0, 0, 0, 2, 1);
+  const auto c20 = cof(0, 1, 1, 2, 0, 2, 1, 1);
+  const auto c21 = cof(0, 2, 1, 0, 0, 0, 1, 2);
+  const auto c22 = cof(0, 0, 1, 1, 0, 1, 1, 0);
+  auto det = l.mul(j[0][2], c02);
+  det = l.fma(j[0][1], c01, det);
+  det = l.fma(j[0][0], c00, det);
+  const auto one = l.splat(1.0);
+  const auto invdet = l.div(one, det);
   // itmp[j][d] = ∂ξ_j/∂x_d = cof(d,j)ᵀ·invdet
-  vpu.vstore(ch.itmp(0, 0) + off, vpu.vmul(c00, invdet));
-  vpu.vstore(ch.itmp(0, 1) + off, vpu.vmul(c10, invdet));
-  vpu.vstore(ch.itmp(0, 2) + off, vpu.vmul(c20, invdet));
-  vpu.vstore(ch.itmp(1, 0) + off, vpu.vmul(c01, invdet));
-  vpu.vstore(ch.itmp(1, 1) + off, vpu.vmul(c11, invdet));
-  vpu.vstore(ch.itmp(1, 2) + off, vpu.vmul(c21, invdet));
-  vpu.vstore(ch.itmp(2, 0) + off, vpu.vmul(c02, invdet));
-  vpu.vstore(ch.itmp(2, 1) + off, vpu.vmul(c12, invdet));
-  vpu.vstore(ch.itmp(2, 2) + off, vpu.vmul(c22, invdet));
-  vpu.vstore(ch.gpvol(g) + off, vpu.vmul_s(det, sh.weight(g)));
-}
-
-void s2_inv_scalar(Vpu& vpu, const Ctx& ctx, ElementChunk& ch, int g,
-                   int off, int n) {
-  const fem::ShapeTable& sh = *ctx.shape;
-  for (int iv = off; iv < off + n; ++iv) {
-    double j[kDim][kDim];
-    for (int i = 0; i < kDim; ++i) {
-      for (int jj = 0; jj < kDim; ++jj) {
-        j[i][jj] = vpu.sload(ch.jtmp(i, jj) + iv);
-      }
-    }
-    auto cof = [&](int r1, int c1, int r2, int c2, int r3, int c3, int r4,
-                   int c4) {
-      const double t = vpu.smul(j[r1][c1], j[r2][c2]);
-      return vpu.sfnma(j[r3][c3], j[r4][c4], t);
-    };
-    const double c00 = cof(1, 1, 2, 2, 1, 2, 2, 1);
-    const double c01 = cof(1, 2, 2, 0, 1, 0, 2, 2);
-    const double c02 = cof(1, 0, 2, 1, 1, 1, 2, 0);
-    const double c10 = cof(0, 2, 2, 1, 0, 1, 2, 2);
-    const double c11 = cof(0, 0, 2, 2, 0, 2, 2, 0);
-    const double c12 = cof(0, 1, 2, 0, 0, 0, 2, 1);
-    const double c20 = cof(0, 1, 1, 2, 0, 2, 1, 1);
-    const double c21 = cof(0, 2, 1, 0, 0, 0, 1, 2);
-    const double c22 = cof(0, 0, 1, 1, 0, 1, 1, 0);
-    double det = vpu.smul(j[0][2], c02);
-    det = vpu.sfma(j[0][1], c01, det);
-    det = vpu.sfma(j[0][0], c00, det);
-    const double invdet = vpu.sdiv(1.0, det);
-    vpu.sstore(ch.itmp(0, 0) + iv, vpu.smul(c00, invdet));
-    vpu.sstore(ch.itmp(0, 1) + iv, vpu.smul(c10, invdet));
-    vpu.sstore(ch.itmp(0, 2) + iv, vpu.smul(c20, invdet));
-    vpu.sstore(ch.itmp(1, 0) + iv, vpu.smul(c01, invdet));
-    vpu.sstore(ch.itmp(1, 1) + iv, vpu.smul(c11, invdet));
-    vpu.sstore(ch.itmp(1, 2) + iv, vpu.smul(c21, invdet));
-    vpu.sstore(ch.itmp(2, 0) + iv, vpu.smul(c02, invdet));
-    vpu.sstore(ch.itmp(2, 1) + iv, vpu.smul(c12, invdet));
-    vpu.sstore(ch.itmp(2, 2) + iv, vpu.smul(c22, invdet));
-    vpu.sstore(ch.gpvol(g) + iv, vpu.smul(det, sh.weight(g)));
-  }
+  l.store(ch.itmp(0, 0), l.mul(c00, invdet));
+  l.store(ch.itmp(0, 1), l.mul(c10, invdet));
+  l.store(ch.itmp(0, 2), l.mul(c20, invdet));
+  l.store(ch.itmp(1, 0), l.mul(c01, invdet));
+  l.store(ch.itmp(1, 1), l.mul(c11, invdet));
+  l.store(ch.itmp(1, 2), l.mul(c21, invdet));
+  l.store(ch.itmp(2, 0), l.mul(c02, invdet));
+  l.store(ch.itmp(2, 1), l.mul(c12, invdet));
+  l.store(ch.itmp(2, 2), l.mul(c22, invdet));
+  l.store(ch.gpvol(g), l.mul_s(det, sh.weight(g)));
 }
 
 // gpcar(d,a) = Σ_j itmp(j,d)·∂N_a/∂ξ_j
-void s3_car_vector(Vpu& vpu, const Ctx& ctx, ElementChunk& ch, int g,
-                   int off, int n) {
+template <class L>
+void s3_car(L l, const Ctx& ctx, ElementChunk& ch, int g) {
   const fem::ShapeTable& sh = *ctx.shape;
-  vpu.set_vl(n);
   for (int d = 0; d < kDim; ++d) {
-    const Vec i0 = vpu.vload(ch.itmp(0, d) + off);
-    const Vec i1 = vpu.vload(ch.itmp(1, d) + off);
-    const Vec i2 = vpu.vload(ch.itmp(2, d) + off);
+    const auto i0 = l.load(ch.itmp(0, d));
+    const auto i1 = l.load(ch.itmp(1, d));
+    const auto i2 = l.load(ch.itmp(2, d));
     for (int a = 0; a < kNodes; ++a) {
-      Vec t = vpu.vmul_s(i0, sh.dn(g, 0, a));
-      t = vpu.vfma_s(i1, sh.dn(g, 1, a), t);
-      t = vpu.vfma_s(i2, sh.dn(g, 2, a), t);
-      vpu.vstore(ch.gpcar(g, d, a) + off, t);
-    }
-  }
-}
-
-void s3_car_scalar(Vpu& vpu, const Ctx& ctx, ElementChunk& ch, int g,
-                   int off, int n) {
-  const fem::ShapeTable& sh = *ctx.shape;
-  for (int iv = off; iv < off + n; ++iv) {
-    for (int d = 0; d < kDim; ++d) {
-      const double i0 = vpu.sload(ch.itmp(0, d) + iv);
-      const double i1 = vpu.sload(ch.itmp(1, d) + iv);
-      const double i2 = vpu.sload(ch.itmp(2, d) + iv);
-      for (int a = 0; a < kNodes; ++a) {
-        double t = vpu.smul(i0, sh.dn(g, 0, a));
-        t = vpu.sfma(i1, sh.dn(g, 1, a), t);
-        t = vpu.sfma(i2, sh.dn(g, 2, a), t);
-        vpu.sstore(ch.gpcar(g, d, a) + iv, t);
-      }
+      auto t = l.mul_s(i0, sh.dn(g, 0, a));
+      t = l.fma_s(i1, sh.dn(g, 1, a), t);
+      t = l.fma_s(i2, sh.dn(g, 2, a), t);
+      l.store(ch.gpcar(g, d, a), t);
     }
   }
 }
@@ -174,28 +91,16 @@ void s3_car_scalar(Vpu& vpu, const Ctx& ctx, ElementChunk& ch, int g,
 
 void phase3(Vpu& vpu, const Ctx& ctx, ElementChunk& ch) {
   const PhasePlan& plan = *ctx.plan;
-  const int vs = ch.vs();
-  const int gs = detail::group_size(vpu, ch);
-  for (int off = 0; off < vs; off += gs) {
-    const int n = gs < vs - off ? gs : vs - off;
+  detail::for_groups(vpu, ch, [&](int off, int n) {
     for (int g = 0; g < kGauss; ++g) {
-      if (plan.p3_jac.vectorize) {
-        s1_jac_vector(vpu, ctx, ch, g, off, n);
-      } else {
-        s1_jac_scalar(vpu, ctx, ch, g, off, n);
-      }
-      if (plan.p3_inv.vectorize) {
-        s2_inv_vector(vpu, ctx, ch, g, off, n);
-      } else {
-        s2_inv_scalar(vpu, ctx, ch, g, off, n);
-      }
-      if (plan.p3_car.vectorize) {
-        s3_car_vector(vpu, ctx, ch, g, off, n);
-      } else {
-        s3_car_scalar(vpu, ctx, ch, g, off, n);
-      }
+      detail::for_lanes(vpu, plan.p3_jac.vectorize, off, n,
+                        [&](auto l) { s1_jac(l, ctx, ch, g); });
+      detail::for_lanes(vpu, plan.p3_inv.vectorize, off, n,
+                        [&](auto l) { s2_inv(l, ctx, ch, g); });
+      detail::for_lanes(vpu, plan.p3_car.vectorize, off, n,
+                        [&](auto l) { s3_car(l, ctx, ch, g); });
     }
-  }
+  });
 }
 
 }  // namespace vecfd::miniapp

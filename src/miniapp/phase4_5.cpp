@@ -10,244 +10,117 @@ namespace vecfd::miniapp {
 using fem::kDim;
 using fem::kGauss;
 using fem::kNodes;
-using sim::Vec;
 using sim::Vpu;
 
 namespace {
 
 // ---- phase 4 subkernels ---------------------------------------------------
 
-void p4_vel_vector(Vpu& vpu, const Ctx& ctx, ElementChunk& ch, int g,
-                   int off, int n) {
+template <class L>
+void p4_vel(L l, const Ctx& ctx, ElementChunk& ch, int g) {
   const fem::ShapeTable& sh = *ctx.shape;
-  vpu.set_vl(n);
-  for (int l = 0; l < 2; ++l) {
+  for (int t = 0; t < 2; ++t) {
     for (int d = 0; d < kDim; ++d) {
       auto plane = [&](int a) {
-        return l == 0 ? ch.elvel(d, a) : ch.elvel_old(d, a);
+        return t == 0 ? ch.elvel(d, a) : ch.elvel_old(d, a);
       };
-      Vec acc = vpu.vmul_s(vpu.vload(plane(0) + off), sh.n(g, 0));
+      auto acc = l.mul_s(l.load(plane(0)), sh.n(g, 0));
       for (int a = 1; a < kNodes; ++a) {
-        acc = vpu.vfma_s(vpu.vload(plane(a) + off), sh.n(g, a), acc);
+        acc = l.fma_s(l.load(plane(a)), sh.n(g, a), acc);
       }
-      vpu.vstore(ch.gpvel(l, g, d) + off, acc);
-      if (l == 0) vpu.vstore(ch.gpadv(g, d) + off, acc);
+      l.store(ch.gpvel(t, g, d), acc);
+      if (t == 0) l.store(ch.gpadv(g, d), acc);
     }
   }
 }
 
-void p4_vel_scalar(Vpu& vpu, const Ctx& ctx, ElementChunk& ch, int g,
-                   int off, int n) {
-  const fem::ShapeTable& sh = *ctx.shape;
-  for (int iv = off; iv < off + n; ++iv) {
-    for (int l = 0; l < 2; ++l) {
-      for (int d = 0; d < kDim; ++d) {
-        auto plane = [&](int a) {
-          return l == 0 ? ch.elvel(d, a) : ch.elvel_old(d, a);
-        };
-        double acc = vpu.smul(vpu.sload(plane(0) + iv), sh.n(g, 0));
-        for (int a = 1; a < kNodes; ++a) {
-          acc = vpu.sfma(vpu.sload(plane(a) + iv), sh.n(g, a), acc);
-        }
-        vpu.sstore(ch.gpvel(l, g, d) + iv, acc);
-        if (l == 0) vpu.sstore(ch.gpadv(g, d) + iv, acc);
-      }
-    }
-  }
-}
-
-void p4_gve_vector(Vpu& vpu, const Ctx& ctx, ElementChunk& ch, int g,
-                   int off, int n) {
-  (void)ctx;
-  vpu.set_vl(n);
+template <class L>
+void p4_gve(L l, ElementChunk& ch, int g) {
   for (int j = 0; j < kDim; ++j) {
-    Vec car[kNodes];
-    for (int a = 0; a < kNodes; ++a) {
-      car[a] = vpu.vload(ch.gpcar(g, j, a) + off);
-    }
+    typename L::V car[kNodes];
+    for (int a = 0; a < kNodes; ++a) car[a] = l.load(ch.gpcar(g, j, a));
     for (int d = 0; d < kDim; ++d) {
-      Vec acc = vpu.vmul(car[0], vpu.vload(ch.elvel(d, 0) + off));
+      auto acc = l.mul(car[0], l.load(ch.elvel(d, 0)));
       for (int a = 1; a < kNodes; ++a) {
-        acc = vpu.vfma(car[a], vpu.vload(ch.elvel(d, a) + off), acc);
+        acc = l.fma(car[a], l.load(ch.elvel(d, a)), acc);
       }
-      vpu.vstore(ch.gpgve(g, j, d) + off, acc);
+      l.store(ch.gpgve(g, j, d), acc);
     }
   }
 }
 
-void p4_gve_scalar(Vpu& vpu, const Ctx& ctx, ElementChunk& ch, int g,
-                   int off, int n) {
-  (void)ctx;
-  for (int iv = off; iv < off + n; ++iv) {
-    for (int j = 0; j < kDim; ++j) {
-      double car[kNodes];
-      for (int a = 0; a < kNodes; ++a) {
-        car[a] = vpu.sload(ch.gpcar(g, j, a) + iv);
-      }
-      for (int d = 0; d < kDim; ++d) {
-        double acc = vpu.smul(car[0], vpu.sload(ch.elvel(d, 0) + iv));
-        for (int a = 1; a < kNodes; ++a) {
-          acc = vpu.sfma(car[a], vpu.sload(ch.elvel(d, a) + iv), acc);
-        }
-        vpu.sstore(ch.gpgve(g, j, d) + iv, acc);
-      }
-    }
-  }
-}
-
-void p4_pre_vector(Vpu& vpu, const Ctx& ctx, ElementChunk& ch, int g,
-                   int off, int n) {
+template <class L>
+void p4_pre(L l, const Ctx& ctx, ElementChunk& ch, int g) {
   const fem::ShapeTable& sh = *ctx.shape;
-  vpu.set_vl(n);
-  Vec acc = vpu.vmul_s(vpu.vload(ch.elpre(0) + off), sh.n(g, 0));
+  auto acc = l.mul_s(l.load(ch.elpre(0)), sh.n(g, 0));
   for (int a = 1; a < kNodes; ++a) {
-    acc = vpu.vfma_s(vpu.vload(ch.elpre(a) + off), sh.n(g, a), acc);
+    acc = l.fma_s(l.load(ch.elpre(a)), sh.n(g, a), acc);
   }
-  vpu.vstore(ch.gppre(g) + off, acc);
-}
-
-void p4_pre_scalar(Vpu& vpu, const Ctx& ctx, ElementChunk& ch, int g,
-                   int off, int n) {
-  const fem::ShapeTable& sh = *ctx.shape;
-  for (int iv = off; iv < off + n; ++iv) {
-    double acc = vpu.smul(vpu.sload(ch.elpre(0) + iv), sh.n(g, 0));
-    for (int a = 1; a < kNodes; ++a) {
-      acc = vpu.sfma(vpu.sload(ch.elpre(a) + iv), sh.n(g, a), acc);
-    }
-    vpu.sstore(ch.gppre(g) + iv, acc);
-  }
+  l.store(ch.gppre(g), acc);
 }
 
 // ---- phase 5 subkernels ---------------------------------------------------
 
-void p5_tau_rhs_vector(Vpu& vpu, const Ctx& ctx, ElementChunk& ch, int g,
-                       int off, int n) {
+template <class L>
+void p5_tau_rhs(L l, const Ctx& ctx, ElementChunk& ch, int g) {
   const fem::Physics& phys = ctx.state->physics();
-  vpu.set_vl(n);
-  const Vec vol = vpu.vload(ch.gpvol(g) + off);
-  const Vec h = vpu.vcbrt(vol);
-  const Vec a0 = vpu.vload(ch.gpadv(g, 0) + off);
-  const Vec a1 = vpu.vload(ch.gpadv(g, 1) + off);
-  const Vec a2 = vpu.vload(ch.gpadv(g, 2) + off);
-  Vec s = vpu.vmul(a0, a0);
-  s = vpu.vfma(a1, a1, s);
-  s = vpu.vfma(a2, a2, s);
-  const Vec advn = vpu.vsqrt(s);
-  const Vec t1 = vpu.vmul(h, h);
-  const Vec t2 = vpu.vmul_s(t1, phys.density);
-  const Vec num = vpu.vsplat(4.0 * phys.viscosity);
-  const Vec d1 = vpu.vdiv(num, t2);
-  const Vec t4 = vpu.vmul_s(advn, 2.0);
-  const Vec d2 = vpu.vdiv(t4, h);
-  Vec den = vpu.vadd(d1, d2);
-  const Vec dtf = vpu.vload(ch.dtfac() + off);
-  den = vpu.vadd(den, dtf);
-  Vec g00 = vpu.vload(ch.gpgve(g, 0, 0) + off);
-  Vec s2 = vpu.vmul(g00, g00);
+  const auto vol = l.load(ch.gpvol(g));
+  const auto h = l.cbrt(vol);
+  const auto a0 = l.load(ch.gpadv(g, 0));
+  const auto a1 = l.load(ch.gpadv(g, 1));
+  const auto a2 = l.load(ch.gpadv(g, 2));
+  auto s = l.mul(a0, a0);
+  s = l.fma(a1, a1, s);
+  s = l.fma(a2, a2, s);
+  const auto advn = l.sqrt(s);
+  const auto t1 = l.mul(h, h);
+  const auto t2 = l.mul_s(t1, phys.density);
+  const auto num = l.splat(4.0 * phys.viscosity);
+  const auto d1 = l.div(num, t2);
+  const auto t4 = l.mul_s(advn, 2.0);
+  const auto d2 = l.div(t4, h);
+  auto den = l.add(d1, d2);
+  const auto dtf = l.load(ch.dtfac());
+  den = l.add(den, dtf);
+  const auto g00 = l.load(ch.gpgve(g, 0, 0));
+  auto s2 = l.mul(g00, g00);
   for (int j = 0; j < kDim; ++j) {
     for (int d = 0; d < kDim; ++d) {
       if (j == 0 && d == 0) continue;
-      const Vec gv = vpu.vload(ch.gpgve(g, j, d) + off);
-      s2 = vpu.vfma(gv, gv, s2);
+      const auto gv = l.load(ch.gpgve(g, j, d));
+      s2 = l.fma(gv, gv, s2);
     }
   }
-  const Vec gn = vpu.vsqrt(s2);
-  den = vpu.vfma_s(gn, 0.1, den);
-  const Vec one = vpu.vsplat(1.0);
-  const Vec tau = vpu.vdiv(one, den);
-  vpu.vstore(ch.tau(g) + off, tau);
+  const auto gn = l.sqrt(s2);
+  den = l.fma_s(gn, 0.1, den);
+  const auto one = l.splat(1.0);
+  const auto tau = l.div(one, den);
+  l.store(ch.tau(g), tau);
   for (int d = 0; d < kDim; ++d) {
     const double cd = phys.density * phys.force[d];
-    const Vec uold = vpu.vload(ch.gpvel(1, g, d) + off);
-    const Vec t = vpu.vmul(dtf, uold);
-    const Vec f = vpu.vadd_s(t, cd);
-    const Vec rt = vpu.vmul(f, vol);
-    vpu.vstore(ch.gprhs(g, d) + off, rt);
+    const auto uold = l.load(ch.gpvel(1, g, d));
+    const auto t = l.mul(dtf, uold);
+    const auto f = l.add_s(t, cd);
+    const auto rt = l.mul(f, vol);
+    l.store(ch.gprhs(g, d), rt);
   }
-  const Vec pre = vpu.vload(ch.gppre(g) + off);
-  const Vec pt = vpu.vmul(pre, vol);
-  vpu.vstore(ch.gppre_t(g) + off, pt);
+  const auto pre = l.load(ch.gppre(g));
+  const auto pt = l.mul(pre, vol);
+  l.store(ch.gppre_t(g), pt);
 }
 
-void p5_tau_rhs_scalar(Vpu& vpu, const Ctx& ctx, ElementChunk& ch, int g,
-                       int off, int n) {
-  const fem::Physics& phys = ctx.state->physics();
-  for (int iv = off; iv < off + n; ++iv) {
-    const double vol = vpu.sload(ch.gpvol(g) + iv);
-    const double h = vpu.scbrt(vol);
-    const double a0 = vpu.sload(ch.gpadv(g, 0) + iv);
-    const double a1 = vpu.sload(ch.gpadv(g, 1) + iv);
-    const double a2 = vpu.sload(ch.gpadv(g, 2) + iv);
-    double s = vpu.smul(a0, a0);
-    s = vpu.sfma(a1, a1, s);
-    s = vpu.sfma(a2, a2, s);
-    const double advn = vpu.ssqrt(s);
-    const double t1 = vpu.smul(h, h);
-    const double t2 = vpu.smul(t1, phys.density);
-    const double d1 = vpu.sdiv(4.0 * phys.viscosity, t2);
-    const double t4 = vpu.smul(advn, 2.0);
-    const double d2 = vpu.sdiv(t4, h);
-    double den = vpu.sadd(d1, d2);
-    const double dtf = vpu.sload(ch.dtfac() + iv);
-    den = vpu.sadd(den, dtf);
-    const double g00 = vpu.sload(ch.gpgve(g, 0, 0) + iv);
-    double s2 = vpu.smul(g00, g00);
-    for (int j = 0; j < kDim; ++j) {
-      for (int d = 0; d < kDim; ++d) {
-        if (j == 0 && d == 0) continue;
-        const double gv = vpu.sload(ch.gpgve(g, j, d) + iv);
-        s2 = vpu.sfma(gv, gv, s2);
-      }
-    }
-    const double gn = vpu.ssqrt(s2);
-    den = vpu.sfma(gn, 0.1, den);
-    const double tau = vpu.sdiv(1.0, den);
-    vpu.sstore(ch.tau(g) + iv, tau);
-    for (int d = 0; d < kDim; ++d) {
-      const double cd = phys.density * phys.force[d];
-      const double uold = vpu.sload(ch.gpvel(1, g, d) + iv);
-      const double t = vpu.smul(dtf, uold);
-      const double f = vpu.sadd(t, cd);
-      const double rt = vpu.smul(f, vol);
-      vpu.sstore(ch.gprhs(g, d) + iv, rt);
-    }
-    const double pre = vpu.sload(ch.gppre(g) + iv);
-    const double pt = vpu.smul(pre, vol);
-    vpu.sstore(ch.gppre_t(g) + iv, pt);
-  }
-}
-
-void p5_mass_vector(Vpu& vpu, const Ctx& ctx, ElementChunk& ch, int off,
-                    int n) {
+template <class L>
+void p5_mass(L l, const Ctx& ctx, ElementChunk& ch) {
   const fem::ShapeTable& sh = *ctx.shape;
-  vpu.set_vl(n);
-  Vec vol[kGauss];
-  for (int g = 0; g < kGauss; ++g) vol[g] = vpu.vload(ch.gpvol(g) + off);
+  typename L::V vol[kGauss];
+  for (int g = 0; g < kGauss; ++g) vol[g] = l.load(ch.gpvol(g));
   for (int a = 0; a < kNodes; ++a) {
     for (int b = 0; b < kNodes; ++b) {
-      Vec acc = vpu.vmul_s(vol[0], sh.n(0, a) * sh.n(0, b));
+      auto acc = l.mul_s(vol[0], sh.n(0, a) * sh.n(0, b));
       for (int g = 1; g < kGauss; ++g) {
-        acc = vpu.vfma_s(vol[g], sh.n(g, a) * sh.n(g, b), acc);
+        acc = l.fma_s(vol[g], sh.n(g, a) * sh.n(g, b), acc);
       }
-      vpu.vstore(ch.mass(a, b) + off, acc);
-    }
-  }
-}
-
-void p5_mass_scalar(Vpu& vpu, const Ctx& ctx, ElementChunk& ch, int off,
-                    int n) {
-  const fem::ShapeTable& sh = *ctx.shape;
-  for (int iv = off; iv < off + n; ++iv) {
-    double vol[kGauss];
-    for (int g = 0; g < kGauss; ++g) vol[g] = vpu.sload(ch.gpvol(g) + iv);
-    for (int a = 0; a < kNodes; ++a) {
-      for (int b = 0; b < kNodes; ++b) {
-        double acc = vpu.smul(vol[0], sh.n(0, a) * sh.n(0, b));
-        for (int g = 1; g < kGauss; ++g) {
-          acc = vpu.sfma(vol[g], sh.n(g, a) * sh.n(g, b), acc);
-        }
-        vpu.sstore(ch.mass(a, b) + iv, acc);
-      }
+      l.store(ch.mass(a, b), acc);
     }
   }
 }
@@ -256,52 +129,31 @@ void p5_mass_scalar(Vpu& vpu, const Ctx& ctx, ElementChunk& ch, int off,
 
 void phase4(Vpu& vpu, const Ctx& ctx, ElementChunk& ch) {
   const PhasePlan& plan = *ctx.plan;
-  const int vs = ch.vs();
-  const int gs = detail::group_size(vpu, ch);
-  for (int off = 0; off < vs; off += gs) {
-    const int n = gs < vs - off ? gs : vs - off;
+  detail::for_groups(vpu, ch, [&](int off, int n) {
     for (int g = 0; g < kGauss; ++g) {
-      if (plan.p4_vel.vectorize) {
-        p4_vel_vector(vpu, ctx, ch, g, off, n);
-      } else {
-        p4_vel_scalar(vpu, ctx, ch, g, off, n);
-      }
-      if (plan.p4_gve.vectorize) {
-        p4_gve_vector(vpu, ctx, ch, g, off, n);
-      } else {
-        p4_gve_scalar(vpu, ctx, ch, g, off, n);
-      }
-      if (plan.p4_pre.vectorize) {
-        p4_pre_vector(vpu, ctx, ch, g, off, n);
-      } else {
-        p4_pre_scalar(vpu, ctx, ch, g, off, n);
-      }
+      detail::for_lanes(vpu, plan.p4_vel.vectorize, off, n,
+                        [&](auto l) { p4_vel(l, ctx, ch, g); });
+      detail::for_lanes(vpu, plan.p4_gve.vectorize, off, n,
+                        [&](auto l) { p4_gve(l, ch, g); });
+      detail::for_lanes(vpu, plan.p4_pre.vectorize, off, n,
+                        [&](auto l) { p4_pre(l, ctx, ch, g); });
     }
-  }
+  });
 }
 
 void phase5(Vpu& vpu, const Ctx& ctx, ElementChunk& ch) {
   const PhasePlan& plan = *ctx.plan;
   const bool with_mass = ctx.cfg.scheme == fem::Scheme::kSemiImplicit;
-  const int vs = ch.vs();
-  const int gs = detail::group_size(vpu, ch);
-  for (int off = 0; off < vs; off += gs) {
-    const int n = gs < vs - off ? gs : vs - off;
+  detail::for_groups(vpu, ch, [&](int off, int n) {
     for (int g = 0; g < kGauss; ++g) {
-      if (plan.p5_tau.vectorize) {
-        p5_tau_rhs_vector(vpu, ctx, ch, g, off, n);
-      } else {
-        p5_tau_rhs_scalar(vpu, ctx, ch, g, off, n);
-      }
+      detail::for_lanes(vpu, plan.p5_tau.vectorize, off, n,
+                        [&](auto l) { p5_tau_rhs(l, ctx, ch, g); });
     }
     if (with_mass) {
-      if (plan.p5_mass.vectorize) {
-        p5_mass_vector(vpu, ctx, ch, off, n);
-      } else {
-        p5_mass_scalar(vpu, ctx, ch, off, n);
-      }
+      detail::for_lanes(vpu, plan.p5_mass.vectorize, off, n,
+                        [&](auto l) { p5_mass(l, ctx, ch); });
     }
-  }
+  });
 }
 
 }  // namespace vecfd::miniapp

@@ -11,259 +11,117 @@ namespace vecfd::miniapp {
 using fem::kDim;
 using fem::kGauss;
 using fem::kNodes;
-using sim::Vec;
 using sim::Vpu;
 
 namespace {
 
 // ---- phase 6 subkernels ---------------------------------------------------
 
-void p6_dw_vector(Vpu& vpu, const Ctx& ctx, ElementChunk& ch, int g, int off,
-                  int n) {
+template <class L>
+void p6_dw(L l, const Ctx& ctx, ElementChunk& ch, int g) {
   const fem::ShapeTable& sh = *ctx.shape;
   const fem::Physics& phys = ctx.state->physics();
-  vpu.set_vl(n);
-  const Vec a0 = vpu.vload(ch.gpadv(g, 0) + off);
-  const Vec a1 = vpu.vload(ch.gpadv(g, 1) + off);
-  const Vec a2 = vpu.vload(ch.gpadv(g, 2) + off);
-  const Vec tg = vpu.vload(ch.tau(g) + off);
-  const Vec vol = vpu.vload(ch.gpvol(g) + off);
-  const Vec rv = vpu.vmul_s(vol, phys.density);
+  const auto a0 = l.load(ch.gpadv(g, 0));
+  const auto a1 = l.load(ch.gpadv(g, 1));
+  const auto a2 = l.load(ch.gpadv(g, 2));
+  const auto tg = l.load(ch.tau(g));
+  const auto vol = l.load(ch.gpvol(g));
+  const auto rv = l.mul_s(vol, phys.density);
   for (int a = 0; a < kNodes; ++a) {
-    const Vec c0 = vpu.vload(ch.gpcar(g, 0, a) + off);
-    const Vec c1 = vpu.vload(ch.gpcar(g, 1, a) + off);
-    const Vec c2 = vpu.vload(ch.gpcar(g, 2, a) + off);
-    Vec t = vpu.vmul(a0, c0);
-    t = vpu.vfma(a1, c1, t);
-    t = vpu.vfma(a2, c2, t);
-    vpu.vstore(ch.dmat(g, a) + off, t);
-    const Vec nsp = vpu.vsplat(sh.n(g, a));
-    const Vec w = vpu.vfma(tg, t, nsp);
-    const Vec wm = vpu.vmul(w, rv);
-    vpu.vstore(ch.wmat(g, a) + off, wm);
+    const auto c0 = l.load(ch.gpcar(g, 0, a));
+    const auto c1 = l.load(ch.gpcar(g, 1, a));
+    const auto c2 = l.load(ch.gpcar(g, 2, a));
+    auto t = l.mul(a0, c0);
+    t = l.fma(a1, c1, t);
+    t = l.fma(a2, c2, t);
+    l.store(ch.dmat(g, a), t);
+    const auto nsp = l.splat(sh.n(g, a));
+    const auto w = l.fma(tg, t, nsp);
+    const auto wm = l.mul(w, rv);
+    l.store(ch.wmat(g, a), wm);
   }
 }
 
-void p6_dw_scalar(Vpu& vpu, const Ctx& ctx, ElementChunk& ch, int g, int off,
-                  int n) {
-  const fem::ShapeTable& sh = *ctx.shape;
-  const fem::Physics& phys = ctx.state->physics();
-  for (int iv = off; iv < off + n; ++iv) {
-    const double a0 = vpu.sload(ch.gpadv(g, 0) + iv);
-    const double a1 = vpu.sload(ch.gpadv(g, 1) + iv);
-    const double a2 = vpu.sload(ch.gpadv(g, 2) + iv);
-    const double tg = vpu.sload(ch.tau(g) + iv);
-    const double vol = vpu.sload(ch.gpvol(g) + iv);
-    const double rv = vpu.smul(vol, phys.density);
-    for (int a = 0; a < kNodes; ++a) {
-      const double c0 = vpu.sload(ch.gpcar(g, 0, a) + iv);
-      const double c1 = vpu.sload(ch.gpcar(g, 1, a) + iv);
-      const double c2 = vpu.sload(ch.gpcar(g, 2, a) + iv);
-      double t = vpu.smul(a0, c0);
-      t = vpu.sfma(a1, c1, t);
-      t = vpu.sfma(a2, c2, t);
-      vpu.sstore(ch.dmat(g, a) + iv, t);
-      const double w = vpu.sfma(tg, t, sh.n(g, a));
-      const double wm = vpu.smul(w, rv);
-      vpu.sstore(ch.wmat(g, a) + iv, wm);
-    }
-  }
-}
-
-void p6_cab_vector(Vpu& vpu, const Ctx& ctx, ElementChunk& ch, int off,
-                   int n) {
-  (void)ctx;
-  vpu.set_vl(n);
+template <class L>
+void p6_cab(L l, ElementChunk& ch) {
   for (int a = 0; a < kNodes; ++a) {
-    Vec wa[kGauss];
-    for (int g = 0; g < kGauss; ++g) wa[g] = vpu.vload(ch.wmat(g, a) + off);
+    typename L::V wa[kGauss];
+    for (int g = 0; g < kGauss; ++g) wa[g] = l.load(ch.wmat(g, a));
     for (int b = 0; b < kNodes; ++b) {
-      Vec acc = vpu.vmul(wa[0], vpu.vload(ch.dmat(0, b) + off));
+      auto acc = l.mul(wa[0], l.load(ch.dmat(0, b)));
       for (int g = 1; g < kGauss; ++g) {
-        acc = vpu.vfma(wa[g], vpu.vload(ch.dmat(g, b) + off), acc);
+        acc = l.fma(wa[g], l.load(ch.dmat(g, b)), acc);
       }
-      vpu.vstore(ch.conv(a, b) + off, acc);
+      l.store(ch.conv(a, b), acc);
     }
   }
 }
 
-void p6_cab_scalar(Vpu& vpu, const Ctx& ctx, ElementChunk& ch, int off,
-                   int n) {
-  (void)ctx;
-  for (int iv = off; iv < off + n; ++iv) {
-    for (int a = 0; a < kNodes; ++a) {
-      double wa[kGauss];
-      for (int g = 0; g < kGauss; ++g) wa[g] = vpu.sload(ch.wmat(g, a) + iv);
-      for (int b = 0; b < kNodes; ++b) {
-        double acc = vpu.smul(wa[0], vpu.sload(ch.dmat(0, b) + iv));
-        for (int g = 1; g < kGauss; ++g) {
-          acc = vpu.sfma(wa[g], vpu.sload(ch.dmat(g, b) + iv), acc);
-        }
-        vpu.sstore(ch.conv(a, b) + iv, acc);
-      }
-    }
-  }
-}
-
-void p6_apply_vector(Vpu& vpu, const Ctx& ctx, ElementChunk& ch, int off,
-                     int n) {
+template <class L>
+void p6_apply(L l, const Ctx& ctx, ElementChunk& ch) {
   const fem::ShapeTable& sh = *ctx.shape;
-  vpu.set_vl(n);
   for (int a = 0; a < kNodes; ++a) {
     for (int d = 0; d < kDim; ++d) {
-      Vec acc = vpu.vmul_s(vpu.vload(ch.gprhs(0, d) + off), sh.n(0, a));
-      acc = vpu.vfma(vpu.vload(ch.gpcar(0, d, a) + off),
-                     vpu.vload(ch.gppre_t(0) + off), acc);
+      auto acc = l.mul_s(l.load(ch.gprhs(0, d)), sh.n(0, a));
+      acc = l.fma(l.load(ch.gpcar(0, d, a)), l.load(ch.gppre_t(0)), acc);
       for (int g = 1; g < kGauss; ++g) {
-        acc = vpu.vfma_s(vpu.vload(ch.gprhs(g, d) + off), sh.n(g, a), acc);
-        acc = vpu.vfma(vpu.vload(ch.gpcar(g, d, a) + off),
-                       vpu.vload(ch.gppre_t(g) + off), acc);
+        acc = l.fma_s(l.load(ch.gprhs(g, d)), sh.n(g, a), acc);
+        acc = l.fma(l.load(ch.gpcar(g, d, a)), l.load(ch.gppre_t(g)), acc);
       }
       for (int b = 0; b < kNodes; ++b) {
-        acc = vpu.vfnma(vpu.vload(ch.conv(a, b) + off),
-                        vpu.vload(ch.elvel(d, b) + off), acc);
+        acc = l.fnma(l.load(ch.conv(a, b)), l.load(ch.elvel(d, b)), acc);
       }
-      vpu.vstore(ch.elrhs(d, a) + off, acc);
-    }
-  }
-}
-
-void p6_apply_scalar(Vpu& vpu, const Ctx& ctx, ElementChunk& ch, int off,
-                     int n) {
-  const fem::ShapeTable& sh = *ctx.shape;
-  for (int iv = off; iv < off + n; ++iv) {
-    for (int a = 0; a < kNodes; ++a) {
-      for (int d = 0; d < kDim; ++d) {
-        double acc = vpu.smul(vpu.sload(ch.gprhs(0, d) + iv), sh.n(0, a));
-        acc = vpu.sfma(vpu.sload(ch.gpcar(0, d, a) + iv),
-                       vpu.sload(ch.gppre_t(0) + iv), acc);
-        for (int g = 1; g < kGauss; ++g) {
-          acc = vpu.sfma(vpu.sload(ch.gprhs(g, d) + iv), sh.n(g, a), acc);
-          acc = vpu.sfma(vpu.sload(ch.gpcar(g, d, a) + iv),
-                         vpu.sload(ch.gppre_t(g) + iv), acc);
-        }
-        for (int b = 0; b < kNodes; ++b) {
-          acc = vpu.sfnma(vpu.sload(ch.conv(a, b) + iv),
-                          vpu.sload(ch.elvel(d, b) + iv), acc);
-        }
-        vpu.sstore(ch.elrhs(d, a) + iv, acc);
-      }
+      l.store(ch.elrhs(d, a), acc);
     }
   }
 }
 
 // ---- phase 7 subkernels ---------------------------------------------------
 
-void p7_blk_vector(Vpu& vpu, const Ctx& ctx, ElementChunk& ch, int off,
-                   int n) {
+template <class L>
+void p7_blk(L l, const Ctx& ctx, ElementChunk& ch) {
   const fem::Physics& phys = ctx.state->physics();
-  vpu.set_vl(n);
-  Vec mv[kGauss];
+  typename L::V mv[kGauss];
   for (int g = 0; g < kGauss; ++g) {
-    mv[g] = vpu.vmul_s(vpu.vload(ch.gpvol(g) + off), phys.viscosity);
+    mv[g] = l.mul_s(l.load(ch.gpvol(g)), phys.viscosity);
   }
   for (int a = 0; a < kNodes; ++a) {
     for (int b = a; b < kNodes; ++b) {
-      Vec acc;
+      typename L::V acc{};
       for (int g = 0; g < kGauss; ++g) {
-        Vec q = vpu.vmul(vpu.vload(ch.gpcar(g, 0, a) + off),
-                         vpu.vload(ch.gpcar(g, 0, b) + off));
-        q = vpu.vfma(vpu.vload(ch.gpcar(g, 1, a) + off),
-                     vpu.vload(ch.gpcar(g, 1, b) + off), q);
-        q = vpu.vfma(vpu.vload(ch.gpcar(g, 2, a) + off),
-                     vpu.vload(ch.gpcar(g, 2, b) + off), q);
-        acc = g == 0 ? vpu.vmul(mv[0], q) : vpu.vfma(mv[g], q, acc);
+        auto q = l.mul(l.load(ch.gpcar(g, 0, a)), l.load(ch.gpcar(g, 0, b)));
+        q = l.fma(l.load(ch.gpcar(g, 1, a)), l.load(ch.gpcar(g, 1, b)), q);
+        q = l.fma(l.load(ch.gpcar(g, 2, a)), l.load(ch.gpcar(g, 2, b)), q);
+        acc = g == 0 ? l.mul(mv[0], q) : l.fma(mv[g], q, acc);
       }
-      vpu.vstore(ch.visc(a, b) + off, acc);
-      if (b != a) vpu.vstore(ch.visc(b, a) + off, acc);
+      l.store(ch.visc(a, b), acc);
+      if (b != a) l.store(ch.visc(b, a), acc);
     }
   }
 }
 
-void p7_blk_scalar(Vpu& vpu, const Ctx& ctx, ElementChunk& ch, int off,
-                   int n) {
-  const fem::Physics& phys = ctx.state->physics();
-  for (int iv = off; iv < off + n; ++iv) {
-    double mv[kGauss];
-    for (int g = 0; g < kGauss; ++g) {
-      mv[g] = vpu.smul(vpu.sload(ch.gpvol(g) + iv), phys.viscosity);
-    }
-    for (int a = 0; a < kNodes; ++a) {
-      for (int b = a; b < kNodes; ++b) {
-        double acc = 0.0;
-        for (int g = 0; g < kGauss; ++g) {
-          double q = vpu.smul(vpu.sload(ch.gpcar(g, 0, a) + iv),
-                              vpu.sload(ch.gpcar(g, 0, b) + iv));
-          q = vpu.sfma(vpu.sload(ch.gpcar(g, 1, a) + iv),
-                       vpu.sload(ch.gpcar(g, 1, b) + iv), q);
-          q = vpu.sfma(vpu.sload(ch.gpcar(g, 2, a) + iv),
-                       vpu.sload(ch.gpcar(g, 2, b) + iv), q);
-          acc = g == 0 ? vpu.smul(mv[0], q) : vpu.sfma(mv[g], q, acc);
-        }
-        vpu.sstore(ch.visc(a, b) + iv, acc);
-        if (b != a) vpu.sstore(ch.visc(b, a) + iv, acc);
-      }
-    }
-  }
-}
-
-void p7_apply_vector(Vpu& vpu, const Ctx& ctx, ElementChunk& ch, int off,
-                     int n) {
-  (void)ctx;
-  vpu.set_vl(n);
+template <class L>
+void p7_apply(L l, ElementChunk& ch) {
   for (int a = 0; a < kNodes; ++a) {
     for (int d = 0; d < kDim; ++d) {
-      Vec acc = vpu.vload(ch.elrhs(d, a) + off);
+      auto acc = l.load(ch.elrhs(d, a));
       for (int b = 0; b < kNodes; ++b) {
-        acc = vpu.vfnma(vpu.vload(ch.visc(a, b) + off),
-                        vpu.vload(ch.elvel(d, b) + off), acc);
+        acc = l.fnma(l.load(ch.visc(a, b)), l.load(ch.elvel(d, b)), acc);
       }
-      vpu.vstore(ch.elrhs(d, a) + off, acc);
-    }
-  }
-}
-
-void p7_apply_scalar(Vpu& vpu, const Ctx& ctx, ElementChunk& ch, int off,
-                     int n) {
-  (void)ctx;
-  for (int iv = off; iv < off + n; ++iv) {
-    for (int a = 0; a < kNodes; ++a) {
-      for (int d = 0; d < kDim; ++d) {
-        double acc = vpu.sload(ch.elrhs(d, a) + iv);
-        for (int b = 0; b < kNodes; ++b) {
-          acc = vpu.sfnma(vpu.sload(ch.visc(a, b) + iv),
-                          vpu.sload(ch.elvel(d, b) + iv), acc);
-        }
-        vpu.sstore(ch.elrhs(d, a) + iv, acc);
-      }
+      l.store(ch.elrhs(d, a), acc);
     }
   }
 }
 
 // semi-implicit: K = dtfac·M + (C + V)
-void p7_block_vector(Vpu& vpu, ElementChunk& ch, int off, int n) {
-  vpu.set_vl(n);
-  const Vec dtf = vpu.vload(ch.dtfac() + off);
+template <class L>
+void p7_block(L l, ElementChunk& ch) {
+  const auto dtf = l.load(ch.dtfac());
   for (int a = 0; a < kNodes; ++a) {
     for (int b = 0; b < kNodes; ++b) {
-      const Vec m = vpu.vmul(dtf, vpu.vload(ch.mass(a, b) + off));
-      const Vec cv = vpu.vadd(vpu.vload(ch.conv(a, b) + off),
-                              vpu.vload(ch.visc(a, b) + off));
-      vpu.vstore(ch.block(a, b) + off, vpu.vadd(m, cv));
-    }
-  }
-}
-
-void p7_block_scalar(Vpu& vpu, ElementChunk& ch, int off, int n) {
-  for (int iv = off; iv < off + n; ++iv) {
-    const double dtf = vpu.sload(ch.dtfac() + iv);
-    for (int a = 0; a < kNodes; ++a) {
-      for (int b = 0; b < kNodes; ++b) {
-        const double m = vpu.smul(dtf, vpu.sload(ch.mass(a, b) + iv));
-        const double cv = vpu.sadd(vpu.sload(ch.conv(a, b) + iv),
-                                   vpu.sload(ch.visc(a, b) + iv));
-        vpu.sstore(ch.block(a, b) + iv, vpu.sadd(m, cv));
-      }
+      const auto m = l.mul(dtf, l.load(ch.mass(a, b)));
+      const auto cv = l.add(l.load(ch.conv(a, b)), l.load(ch.visc(a, b)));
+      l.store(ch.block(a, b), l.add(m, cv));
     }
   }
 }
@@ -272,55 +130,31 @@ void p7_block_scalar(Vpu& vpu, ElementChunk& ch, int off, int n) {
 
 void phase6(Vpu& vpu, const Ctx& ctx, ElementChunk& ch) {
   const PhasePlan& plan = *ctx.plan;
-  const int vs = ch.vs();
-  const int gs = detail::group_size(vpu, ch);
-  for (int off = 0; off < vs; off += gs) {
-    const int n = gs < vs - off ? gs : vs - off;
+  detail::for_groups(vpu, ch, [&](int off, int n) {
     for (int g = 0; g < kGauss; ++g) {
-      if (plan.p6_dw.vectorize) {
-        p6_dw_vector(vpu, ctx, ch, g, off, n);
-      } else {
-        p6_dw_scalar(vpu, ctx, ch, g, off, n);
-      }
+      detail::for_lanes(vpu, plan.p6_dw.vectorize, off, n,
+                        [&](auto l) { p6_dw(l, ctx, ch, g); });
     }
-    if (plan.p6_cab.vectorize) {
-      p6_cab_vector(vpu, ctx, ch, off, n);
-    } else {
-      p6_cab_scalar(vpu, ctx, ch, off, n);
-    }
-    if (plan.p6_apply.vectorize) {
-      p6_apply_vector(vpu, ctx, ch, off, n);
-    } else {
-      p6_apply_scalar(vpu, ctx, ch, off, n);
-    }
-  }
+    detail::for_lanes(vpu, plan.p6_cab.vectorize, off, n,
+                      [&](auto l) { p6_cab(l, ch); });
+    detail::for_lanes(vpu, plan.p6_apply.vectorize, off, n,
+                      [&](auto l) { p6_apply(l, ctx, ch); });
+  });
 }
 
 void phase7(Vpu& vpu, const Ctx& ctx, ElementChunk& ch) {
   const PhasePlan& plan = *ctx.plan;
   const bool semi = ctx.cfg.scheme == fem::Scheme::kSemiImplicit;
-  const int vs = ch.vs();
-  const int gs = detail::group_size(vpu, ch);
-  for (int off = 0; off < vs; off += gs) {
-    const int n = gs < vs - off ? gs : vs - off;
-    if (plan.p7_blk.vectorize) {
-      p7_blk_vector(vpu, ctx, ch, off, n);
-    } else {
-      p7_blk_scalar(vpu, ctx, ch, off, n);
-    }
-    if (plan.p7_apply.vectorize) {
-      p7_apply_vector(vpu, ctx, ch, off, n);
-    } else {
-      p7_apply_scalar(vpu, ctx, ch, off, n);
-    }
+  detail::for_groups(vpu, ch, [&](int off, int n) {
+    detail::for_lanes(vpu, plan.p7_blk.vectorize, off, n,
+                      [&](auto l) { p7_blk(l, ctx, ch); });
+    detail::for_lanes(vpu, plan.p7_apply.vectorize, off, n,
+                      [&](auto l) { p7_apply(l, ch); });
     if (semi) {
-      if (plan.p7_blk.vectorize) {
-        p7_block_vector(vpu, ch, off, n);
-      } else {
-        p7_block_scalar(vpu, ch, off, n);
-      }
+      detail::for_lanes(vpu, plan.p7_blk.vectorize, off, n,
+                        [&](auto l) { p7_block(l, ch); });
     }
-  }
+  });
 }
 
 }  // namespace vecfd::miniapp

@@ -4,8 +4,9 @@
 // analyzes independently.  `build_plan` describes every subkernel's source
 // shape as a compiler::LoopInfo — which depends on the optimization level,
 // because VEC2/IVEC2/VEC1 are *source* transformations — and records the
-// model compiler's Decision for it.  The phase kernels then execute the
-// scalar or vector path accordingly, which is exactly the contract between
+// model compiler's Decision for it.  The phase kernels then issue each
+// subkernel's single body as vector strips or as scalar lanes accordingly
+// (detail::for_lanes in phases.h), which is exactly the contract between
 // the application and the compiler that the paper's co-design loop tunes.
 #pragma once
 

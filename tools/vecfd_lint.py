@@ -1194,21 +1194,31 @@ def self_test(repo_root: str, engine: str) -> int:
             ]
             check(name + "/", got, want)
 
+    # current-PR inference reads both CHANGES.md entry shapes
+    changes = "- PR 11: old shape\n- PR 13 [simplicity] new shape\n"
+    check("current-pr inference", [_next_pr(changes)], [14])
+
     print(f"{cases} fixture case(s), {failures} failure(s)")
     return 1 if failures else 0
 
 
-_CHANGES_PR_RE = re.compile(r"^- PR (\d+):", re.M)
+# A CHANGES.md entry opens with `- PR n:` or `- PR n [tag] …`.
+_CHANGES_PR_RE = re.compile(r"^- PR (\d+)(?::|\s+\[)", re.M)
+
+
+def _next_pr(changes_text: str):
+    """The PR under development = highest PR entry in @p changes_text, plus
+    one (CHANGES.md records *merged* PRs).  None when there is none."""
+    nums = _CHANGES_PR_RE.findall(changes_text)
+    return max(int(n) for n in nums) + 1 if nums else None
 
 
 def _infer_current_pr(repo_root: str):
-    """The PR under development = highest '- PR n:' in CHANGES.md, plus one
-    (CHANGES.md records *merged* PRs).  None when CHANGES.md is absent."""
+    """_next_pr of the repo's CHANGES.md; None when it is absent."""
     path = os.path.join(repo_root, "CHANGES.md")
     if not os.path.exists(path):
         return None
-    nums = _CHANGES_PR_RE.findall(open(path, encoding="utf-8").read())
-    return max(int(n) for n in nums) + 1 if nums else None
+    return _next_pr(open(path, encoding="utf-8").read())
 
 
 def main(argv=None) -> int:
@@ -1228,7 +1238,8 @@ def main(argv=None) -> int:
     ap.add_argument(
         "--current-pr", type=int, default=None,
         help="PR number for expires=PR<N> checks (default: inferred from "
-        "the highest '- PR n:' line in CHANGES.md, plus one)",
+        "the highest '- PR n:' / '- PR n [tag]' entry in CHANGES.md, plus "
+        "one)",
     )
     args = ap.parse_args(argv)
 
