@@ -343,18 +343,23 @@ std::uint32_t crc32(const std::uint8_t* data, std::size_t len) {
   return c ^ 0xffffffffu;
 }
 
+// Both directions bind ALL checkpoint fields by name (see checkpoint.h).
+
 std::vector<std::uint8_t> serialize_state(const TimeLoopCheckpoint& c) {
+  const auto& [config_hash, next_step, time, unknowns, unknowns_old,
+               step_reports, total_counters, phase_counters, all_converged,
+               pressure_makespan_cycles] = c;
   Writer w;
-  put_u64(w, c.config_hash);
-  put_i64(w, c.next_step);
-  put_f64(w, c.time);
-  put_vec_f64(w, c.unknowns);
-  put_vec_f64(w, c.unknowns_old);
-  put_step_reports(w, c.step_reports);
-  put_counters(w, c.total_counters);
-  put_counters_vec(w, c.phase_counters);
-  put_u8(w, c.all_converged ? 1 : 0);
-  put_f64(w, c.pressure_makespan_cycles);
+  put_u64(w, config_hash);
+  put_i64(w, next_step);
+  put_f64(w, time);
+  put_vec_f64(w, unknowns);
+  put_vec_f64(w, unknowns_old);
+  put_step_reports(w, step_reports);
+  put_counters(w, total_counters);
+  put_counters_vec(w, phase_counters);
+  put_u8(w, all_converged ? 1 : 0);
+  put_f64(w, pressure_makespan_cycles);
   return std::move(w.buf);
 }
 
@@ -362,16 +367,19 @@ TimeLoopCheckpoint deserialize_state(const std::vector<std::uint8_t>& buf) {
   Reader r;
   r.buf = &buf;
   TimeLoopCheckpoint c;
-  c.config_hash = get_u64(r);
-  c.next_step = get_i64(r);
-  c.time = get_f64(r);
-  c.unknowns = get_vec_f64(r, "unknowns");
-  c.unknowns_old = get_vec_f64(r, "unknowns_old");
-  c.step_reports = get_step_reports(r);
-  c.total_counters = get_counters(r);
-  c.phase_counters = get_counters_vec(r);
-  c.all_converged = get_u8(r) != 0;
-  c.pressure_makespan_cycles = get_f64(r);
+  auto& [config_hash, next_step, time, unknowns, unknowns_old, step_reports,
+         total_counters, phase_counters, all_converged,
+         pressure_makespan_cycles] = c;
+  config_hash = get_u64(r);
+  next_step = get_i64(r);
+  time = get_f64(r);
+  unknowns = get_vec_f64(r, "unknowns");
+  unknowns_old = get_vec_f64(r, "unknowns_old");
+  step_reports = get_step_reports(r);
+  total_counters = get_counters(r);
+  phase_counters = get_counters_vec(r);
+  all_converged = get_u8(r) != 0;
+  pressure_makespan_cycles = get_f64(r);
   if (r.pos != buf.size()) {
     throw std::runtime_error("checkpoint: trailing bytes after payload");
   }

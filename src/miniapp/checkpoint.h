@@ -22,12 +22,11 @@
 //     instruction stream, golden CSVs and BENCH baselines are bit-for-bit
 //     unchanged.
 //
-// The serialized state is the VECFD_TIMELOOP_STATE registry below: like
-// the counter registry (sim/counters.h) it is the single source of truth,
-// and the vecfd-lint rule `checkpoint-fields` requires every registered
-// field to appear in BOTH serialize_state() and deserialize_state(), so a
-// field added to the struct cannot silently skip one direction and corrupt
-// restarts.
+// The serialized state is TimeLoopCheckpoint itself: serialize_state() and
+// deserialize_state() read it through a structured binding that names
+// every field, as timeloop_config_hash() reads the config structs.  A
+// field added to the struct fails to compile in both functions until each
+// binds it, so it cannot silently skip one direction and corrupt restarts.
 //
 // File format: an 8-byte magic+version header, the payload byte count, a
 // CRC-32 of the payload, then the payload.  save_checkpoint() writes
@@ -45,23 +44,6 @@
 #include "sim/machine_config.h"
 
 namespace vecfd::miniapp {
-
-// The TimeLoop state registry: X(field) per serialized field of
-// TimeLoopCheckpoint, in serialization order.  serialize_state() and
-// deserialize_state() must mention every entry (vecfd-lint rule
-// `checkpoint-fields`); appending fields keeps old readers failing cleanly
-// on the version byte rather than misparsing.
-#define VECFD_TIMELOOP_STATE(X) \
-  X(config_hash)                \
-  X(next_step)                  \
-  X(time)                       \
-  X(unknowns)                   \
-  X(unknowns_old)               \
-  X(step_reports)               \
-  X(total_counters)             \
-  X(phase_counters)             \
-  X(all_converged)              \
-  X(pressure_makespan_cycles)
 
 /// Full resumable TimeLoop state at an epoch boundary: both time levels of
 /// the fields, the step cursor, every StepReport produced so far (with
@@ -92,7 +74,8 @@ struct TimeLoopCheckpoint {
 inline constexpr std::uint8_t kCheckpointVersion = 1;
 
 /// Serialize @p c to the versioned payload (header excluded).  Every
-/// registered field, in registry order.
+/// field, in declaration order; appending fields keeps old readers failing
+/// cleanly on the version byte rather than misparsing.
 std::vector<std::uint8_t> serialize_state(const TimeLoopCheckpoint& c);
 
 /// Inverse of serialize_state.

@@ -5,6 +5,7 @@
 #include <limits>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "fem/partition.h"
@@ -130,6 +131,14 @@ TimeLoop::TimeLoop(const fem::Mesh& mesh, const Scenario& scenario,
   // the phase-10 SolveOptions; kDeflate additionally needs the structured
   // coarse space, composed with the RCM permutation when the solve runs in
   // solve order (aggregate of solve row q = aggregate of node perm[q]).
+  // A nested rung that disagrees with the knob is refused, not overwritten.
+  const solver::PrecondKind nested = cfg_.pressure.precond.kind;
+  if (nested != solver::PrecondKind::kJacobi && nested != cfg_.precond) {
+    throw std::invalid_argument(
+        std::string("TimeLoop: pressure.precond.kind '") +
+        solver::to_string(nested) + "' conflicts with precond '" +
+        solver::to_string(cfg_.precond) + "'");
+  }
   cfg_.pressure.precond.kind = cfg_.precond;
   if (cfg_.precond == solver::PrecondKind::kDeflate) {
     std::vector<int> agg =
@@ -225,12 +234,11 @@ void TimeLoop::restore(const TimeLoopCheckpoint& checkpoint,
   std::copy(checkpoint.unknowns_old.begin(), checkpoint.unknowns_old.end(),
             state_.unknowns_old().begin());
   time_ = checkpoint.time;
-  start_step_ = static_cast<int>(checkpoint.next_step);
-  carried_steps_ = checkpoint.step_reports;
-  carried_total_ = checkpoint.total_counters;
-  carried_phase_ = checkpoint.phase_counters;
-  carried_makespan_ = checkpoint.pressure_makespan_cycles;
-  carried_converged_ = checkpoint.all_converged;
+  carried_.steps = checkpoint.step_reports;
+  carried_.all_converged = checkpoint.all_converged;
+  carried_.total = checkpoint.total_counters;
+  carried_.phase = checkpoint.phase_counters;
+  carried_.pressure_makespan_cycles = checkpoint.pressure_makespan_cycles;
 }
 
 double TimeLoop::divergence_norm(const std::vector<double>& div) const {
@@ -270,21 +278,34 @@ TimeLoopResult TimeLoop::run(sim::Vpu& vpu) {
     return c;
   };
 
-  // Consume the restore() carry-over.  All of it is empty/zero unless
-  // restore() seeded it, so the default path aggregates exactly as before
-  // (bit-for-bit: golden CSVs and BENCH baselines are unchanged).
-  // Mutable: the epoch folds below grow the base at every flush boundary.
-  const int first_step = std::exchange(start_step_, 0);
-  sim::Counters carried_total = std::exchange(carried_total_, {});
-  std::vector<sim::Counters> carried_phase = std::move(carried_phase_);
-  carried_phase_.clear();
-  double carried_makespan = std::exchange(carried_makespan_, 0.0);
-
-  TimeLoopResult res;
-  res.steps = std::move(carried_steps_);
-  carried_steps_.clear();
+  // The run so far: empty, or the prefix restore() rebuilt (whose step
+  // count it checked against the cursor).
+  TimeLoopResult res = std::exchange(carried_, {});
+  const int first_step = static_cast<int>(res.steps.size());
   res.steps.reserve(static_cast<std::size_t>(cfg_.steps));
-  res.all_converged = std::exchange(carried_converged_, true);
+  res.phase.resize(static_cast<std::size_t>(kNumInstrumentedPhases) + 1);
+
+  // The one summation of the run's counters — @p acc, the coordinator, then
+  // shard 0..P−1 — behind the checkpoint capture, the epoch drain and the
+  // final totals, so all three associate alike and a resumed run matches
+  // bit for bit.  Phase-10 critical path: the carried makespan plus this
+  // epoch's, or the serial phase-10 cycles on the single-Vpu path.
+  const auto so_far = [&](TimeLoopResult acc) {
+    const auto add = [&acc](const sim::Vpu& v) {
+      acc.total += v.counters();
+      for (int p = 0; p <= kNumInstrumentedPhases; ++p) {
+        acc.phase[static_cast<std::size_t>(p)] += v.profiler().phase(p);
+      }
+    };
+    add(vpu);
+    if (sharded) {
+      for (int s = 0; s < sharded->shards(); ++s) add(sharded->shard_vpu(s));
+      acc.pressure_makespan_cycles += sharded->makespan_cycles();
+    } else {
+      acc.pressure_makespan_cycles = acc.phase[kPressurePhase].total_cycles();
+    }
+    return acc;
+  };
 
   // Everything the Vpu touches is allocated once, before the first step,
   // and reused in place: the deterministic memory model renames host lines
@@ -568,81 +589,32 @@ TimeLoopResult TimeLoop::run(sim::Vpu& vpu) {
     res.steps.push_back(std::move(rep));
 
     // Epoch boundary of the checkpoint/restart protocol (DESIGN.md §10):
-    // capture the accumulated state for the sink, then drain the machine —
-    // every hierarchy flushed, canonical first-touch map forgotten — so
-    // the next epoch starts exactly like a restarted process would.  The
-    // final boundary (done == steps) captures without flushing, so a
-    // completed point replays identically under --resume.
+    // capture the run so far for the sink, then drain the machine — every
+    // hierarchy flushed, canonical first-touch map forgotten — so the next
+    // epoch starts exactly like a restarted process would.  The final
+    // boundary (done == steps) captures without draining, so a completed
+    // point replays identically under --resume.
     const int done = step + 1;
     if (cfg_.checkpoint_every > 0 &&
         (done % cfg_.checkpoint_every == 0 || done == cfg_.steps)) {
       if (ckpt_sink_) {
-        TimeLoopCheckpoint c;
-        c.config_hash = ckpt_hash_;
-        c.next_step = done;
-        c.time = time_;
-        c.unknowns.assign(state_.unknowns().begin(),
-                          state_.unknowns().end());
-        c.unknowns_old.assign(state_.unknowns_old().begin(),
-                              state_.unknowns_old().end());
-        c.step_reports = res.steps;
-        c.total_counters = carried_total;
-        c.total_counters += vpu.counters();
-        c.phase_counters.resize(
-            static_cast<std::size_t>(kNumInstrumentedPhases) + 1);
-        for (int p = 0; p <= kNumInstrumentedPhases; ++p) {
-          c.phase_counters[static_cast<std::size_t>(p)] =
-              vpu.profiler().phase(p);
-          if (static_cast<std::size_t>(p) < carried_phase.size()) {
-            c.phase_counters[static_cast<std::size_t>(p)] +=
-                carried_phase[static_cast<std::size_t>(p)];
-          }
-        }
-        if (sharded) {
-          for (int s = 0; s < sharded->shards(); ++s) {
-            const sim::Vpu& sv = sharded->shard_vpu(s);
-            c.total_counters += sv.counters();
-            for (int p = 0; p <= kNumInstrumentedPhases; ++p) {
-              c.phase_counters[static_cast<std::size_t>(p)] +=
-                  sv.profiler().phase(p);
-            }
-          }
-        }
-        c.all_converged = res.all_converged;
-        c.pressure_makespan_cycles =
-            sharded ? carried_makespan + sharded->makespan_cycles()
-                    : c.phase_counters[kPressurePhase].total_cycles();
-        ckpt_sink_(c);
+        TimeLoopResult now = so_far(res);
+        const auto now_u = state_.unknowns(), old_u = state_.unknowns_old();
+        ckpt_sink_({.config_hash = ckpt_hash_,
+                    .next_step = done,
+                    .time = time_,
+                    .unknowns = {now_u.begin(), now_u.end()},
+                    .unknowns_old = {old_u.begin(), old_u.end()},
+                    .step_reports = std::move(now.steps),
+                    .total_counters = now.total,
+                    .phase_counters = std::move(now.phase),
+                    .all_converged = now.all_converged,
+                    .pressure_makespan_cycles = now.pressure_makespan_cycles});
       }
       if (done < cfg_.steps && done % cfg_.checkpoint_every == 0) {
-        // Drain the machine INTO the carried base — same aggregation order
-        // as the final totals (coordinator, then shards) — then reset it
-        // outright.  Folding whole-epoch subtotals instead of letting one
-        // accumulator run across epochs keeps the double-typed cycle
-        // counters associating identically in the uninterrupted and the
-        // resumed run, so the restart is bit-identical down to the last
-        // ulp; the reset leaves caches cold and the first-touch map
-        // forgotten, exactly like the restarted process the next epoch
-        // must be indistinguishable from.
-        carried_phase.resize(static_cast<std::size_t>(kNumInstrumentedPhases) +
-                             1);
-        carried_total += vpu.counters();
-        for (int p = 0; p <= kNumInstrumentedPhases; ++p) {
-          carried_phase[static_cast<std::size_t>(p)] +=
-              vpu.profiler().phase(p);
-        }
-        if (sharded) {
-          for (int s = 0; s < sharded->shards(); ++s) {
-            const sim::Vpu& sv = sharded->shard_vpu(s);
-            carried_total += sv.counters();
-            for (int p = 0; p <= kNumInstrumentedPhases; ++p) {
-              carried_phase[static_cast<std::size_t>(p)] +=
-                  sv.profiler().phase(p);
-            }
-          }
-          carried_makespan += sharded->makespan_cycles();
-          sharded->reset();
-        }
+        // Fold the epoch into the base, then reset the machine outright.
+        res = so_far(std::move(res));
+        if (sharded) sharded->reset();
         vpu.reset();
       }
     }
@@ -650,31 +622,9 @@ TimeLoopResult TimeLoop::run(sim::Vpu& vpu) {
 
   // Whole-run totals aggregate ALL Vpus — the coordinator plus every shard
   // — so the conservation invariants (Σ step cycles == run cycles, Σ phase
-  // counters == totals) hold regardless of the shard count.  A resumed run
-  // seeds the totals with the carried pre-restart counters; a fresh run
-  // carries zeros, so the default path is unchanged.
-  res.total = carried_total;
-  res.total += vpu.counters();
-  res.phase.resize(kNumInstrumentedPhases + 1);
-  for (int p = 0; p <= kNumInstrumentedPhases; ++p) {
-    res.phase[p] = vpu.profiler().phase(p);
-    if (static_cast<std::size_t>(p) < carried_phase.size()) {
-      res.phase[p] += carried_phase[static_cast<std::size_t>(p)];
-    }
-  }
-  if (sharded) {
-    for (int s = 0; s < sharded->shards(); ++s) {
-      const sim::Vpu& sv = sharded->shard_vpu(s);
-      res.total += sv.counters();
-      for (int p = 0; p <= kNumInstrumentedPhases; ++p) {
-        res.phase[p] += sv.profiler().phase(p);
-      }
-    }
-  }
+  // counters == totals) hold regardless of the shard count.
+  res = so_far(std::move(res));
   res.cycles = res.total.total_cycles();
-  res.pressure_makespan_cycles =
-      sharded ? carried_makespan + sharded->makespan_cycles()
-              : res.phase[kPressurePhase].total_cycles();
   return res;
 }
 

@@ -224,18 +224,13 @@ class TimeLoop {
   std::unique_ptr<solver::ShardedCg> make_sharded(const sim::Vpu& vpu,
                                                   int slice) const;
 
-  // Checkpoint/restart state (miniapp/checkpoint.h).  The carried_* members
-  // hold the pre-restore accumulation (steps, counters, makespan) and are
-  // consumed by the next run(); they stay empty/zero unless restore() was
-  // called, so the default path aggregates exactly as before.
+  // Checkpoint/restart state (miniapp/checkpoint.h).  carried_ is the run
+  // so far as restore() rebuilt it — steps, convergence, counters and
+  // makespan — and the next run() starts from it.  It stays empty unless
+  // restore() was called, so a fresh run starts from zero.
   std::uint64_t ckpt_hash_ = 0;
   std::function<void(const TimeLoopCheckpoint&)> ckpt_sink_;
-  int start_step_ = 0;
-  std::vector<StepReport> carried_steps_;
-  sim::Counters carried_total_;
-  std::vector<sim::Counters> carried_phase_;
-  double carried_makespan_ = 0.0;
-  bool carried_converged_ = true;
+  TimeLoopResult carried_;
 };
 
 }  // namespace vecfd::miniapp

@@ -1,7 +1,7 @@
 // Checkpoint/restart contract of miniapp/checkpoint.{h,cpp} (DESIGN.md §10):
 //
-//   * serialize_state/deserialize_state round-trip every registered field
-//     of VECFD_TIMELOOP_STATE bit-exactly, counters included;
+//   * serialize_state/deserialize_state round-trip every field of
+//     TimeLoopCheckpoint bit-exactly, counters included;
 //   * save_checkpoint is atomic (`.tmp` + rename, no leftover temp file)
 //     and load_checkpoint rejects missing files, foreign magic, version
 //     skew, truncation and payload corruption BY NAME;
@@ -503,6 +503,18 @@ TEST(CrashMatrix, RestartIsBitIdenticalAtEveryBoundary) {
         run_with_checkpoints(mesh, scen, cfg, machine, hash, nullptr);
     ASSERT_EQ(full.checkpoints.size(), static_cast<std::size_t>(kSteps))
         << label << ": cadence 1 checkpoints every boundary incl. the last";
+    // The final capture and the returned result are the same sum.
+    const TimeLoopCheckpoint& last = full.checkpoints.back();
+    expect_counters_equal(last.total_counters, full.result.total,
+                          "final capture totals");
+    ASSERT_EQ(last.phase_counters.size(), full.result.phase.size());
+    for (std::size_t p = 0; p < last.phase_counters.size(); ++p) {
+      expect_counters_equal(last.phase_counters[p], full.result.phase[p],
+                            "final capture phase");
+    }
+    EXPECT_EQ(last.pressure_makespan_cycles,
+              full.result.pressure_makespan_cycles)
+        << label;
 
     // Crash after step k, restart from the k-th checkpoint: bit-identical.
     for (int k = 1; k < kSteps; ++k) {

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "metrics/metrics.h"
 #include "miniapp/time_loop.h"
@@ -191,6 +192,26 @@ TEST(TimeLoop, RejectsDegenerateConfigs) {
   no_pins.pressure_pins = [](const fem::Mesh&) { return std::vector<int>{}; };
   miniapp::TimeLoopConfig cfg;
   EXPECT_THROW(miniapp::TimeLoop(mesh, no_pins, cfg), std::invalid_argument);
+
+  // The nested pressure rung must agree with the precond knob: a conflict
+  // is refused by name instead of silently replaced, and agreement (the
+  // shape config() hands back) stays legal.
+  miniapp::TimeLoopConfig conflict;
+  conflict.pressure.precond.kind = solver::PrecondKind::kCheby;
+  try {
+    miniapp::TimeLoop loop(mesh, s, conflict);
+    ADD_FAILURE() << "a conflicting nested rung must throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("cheby"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("jacobi"), std::string::npos)
+        << e.what();
+  }
+  miniapp::TimeLoopConfig cheby;
+  cheby.precond = solver::PrecondKind::kCheby;
+  const miniapp::TimeLoop first(mesh, s, cheby);
+  ASSERT_EQ(first.config().pressure.precond.kind, solver::PrecondKind::kCheby);
+  EXPECT_NO_THROW(miniapp::TimeLoop(mesh, s, first.config()));
 }
 
 TEST(Scenarios, LibraryIsWellFormed) {

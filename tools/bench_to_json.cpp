@@ -1,10 +1,10 @@
 // bench_to_json — perf-trajectory baseline emitter.
 //
-// Runs the measurement cores of bench/multirhs_speedup and
-// bench/spmv_format_sweep (shared in bench/bench_metrics.h) on a FIXED
-// workload — independent of VECFD_BENCH_SMALL, so the checked-in baseline
-// and any CI run measure the same thing — and serializes the scalar
-// metrics as JSON:
+// Runs the measurement cores of bench/multirhs_speedup,
+// bench/spmv_format_sweep, bench/precond_ladder and bench/shard_scaling
+// (helpers shared in bench/bench_metrics.h) on a FIXED workload —
+// independent of VECFD_BENCH_SMALL, so the checked-in baseline and any CI
+// run measure the same thing — and serializes the scalar metrics as JSON:
 //
 //   { "schema": "vecfd-bench-v1",
 //     "benches": { "<bench>": { "<metric>": <number>, ... }, ... } }

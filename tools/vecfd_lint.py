@@ -9,6 +9,10 @@ one fences):
   measured-alloc        no allocation churn of measured buffers inside a
                         measurement region (the PR 3 canonical-line aliasing
                         bug class)
+  shard-exchange        no raw store into a halo/ghost buffer inside a
+                        Vpu&-taking function — ghost slots move only through
+                        sim::HaloExchange::exchange, which prices the
+                        transfer in the halo counters
   raw-thread            no std::thread / std::mutex / lock types outside
                         core/parallel.h + core/thread_annotations.h (keeps
                         -Wthread-safety's annotated surface exhaustive)
@@ -36,11 +40,10 @@ one fences):
                         only) and no std::unordered_map/set in the
                         CSV/report output layer — the two hazards that
                         break the byte-identical serial/parallel guarantee
-  checkpoint-fields     every field of the VECFD_TIMELOOP_STATE registry
-                        (miniapp/checkpoint.h) appears in BOTH
-                        serialize_state() and deserialize_state() — a field
-                        serialized but not restored (or vice versa)
-                        silently breaks restart bit-identity
+
+The checkpoint field list needs no rule: serialize_state() and
+deserialize_state() bind every TimeLoopCheckpoint field by name, so the
+compiler rejects a field that either direction misses.
 
 Engines: with the libclang python bindings installed (`python3-clang`),
 function boundaries/signatures come from a real clang parse (--engine
@@ -666,10 +669,10 @@ def _member_section(text: str, signature: str) -> str:
             return text[open_idx : match_braces(text, open_idx)]
 
 
-def _registry_block(stripped: str, macro: str = "VECFD_COUNTERS"):
-    """(start, end) offsets of the `#define <macro>(X)` macro body — the
-    define line plus every backslash-continued line — or None."""
-    m = re.search(r"#\s*define\s+" + macro + r"\s*\(", stripped)
+def _registry_block(stripped: str):
+    """(start, end) offsets of the `#define VECFD_COUNTERS(X)` macro body —
+    the define line plus every backslash-continued line — or None."""
+    m = re.search(r"#\s*define\s+VECFD_COUNTERS\s*\(", stripped)
     if not m:
         return None
     end = m.start()
@@ -828,81 +831,6 @@ def rule_counter_registry(repo_root: str) -> list:
                 )
                 if not inline_suppressed(consumer, f):
                     findings.append(f)
-    return findings
-
-
-_STATE_ENTRY_RE = re.compile(r"^\s*X\(\s*(\w+)\s*\)", re.M)
-
-
-@rule(
-    "checkpoint-fields",
-    "the TimeLoop checkpoint state is an X-macro registry "
-    "(VECFD_TIMELOOP_STATE in miniapp/checkpoint.h): every registered "
-    "field must appear in BOTH serialize_state() and deserialize_state() "
-    "(miniapp/checkpoint.cpp) — a field written but never restored (or "
-    "restored but never written) silently breaks the checkpoint/restart "
-    "bit-identity contract instead of failing a build",
-)
-def rule_checkpoint_fields(repo_root: str) -> list:
-    header = _load_stripped(repo_root, "src/miniapp/checkpoint.h")
-    if header is None:
-        return []
-    findings = []
-
-    block = _registry_block(header.stripped, "VECFD_TIMELOOP_STATE")
-    if block is None:
-        return [
-            Finding(
-                "src/miniapp/checkpoint.h", 1, "checkpoint-fields",
-                "no VECFD_TIMELOOP_STATE X-macro registry — checkpoint "
-                "fields must be declared through the registry so "
-                "serialize/deserialize coverage is checkable",
-            )
-        ]
-    fields = _STATE_ENTRY_RE.findall(header.stripped[block[0] : block[1]])
-    if not fields:
-        return [
-            Finding(
-                "src/miniapp/checkpoint.h", line_of(header.stripped, block[0]),
-                "checkpoint-fields",
-                "VECFD_TIMELOOP_STATE registry is empty",
-            )
-        ]
-
-    impl = _load_stripped(repo_root, "src/miniapp/checkpoint.cpp")
-    if impl is None:
-        return [
-            Finding(
-                "src/miniapp/checkpoint.h", line_of(header.stripped, block[0]),
-                "checkpoint-fields",
-                "VECFD_TIMELOOP_STATE registry has no implementation file "
-                "(src/miniapp/checkpoint.cpp)",
-            )
-        ]
-    for func in ("serialize_state", "deserialize_state"):
-        body = _member_section(impl.stripped, func)
-        if not body:
-            findings.append(
-                Finding(
-                    "src/miniapp/checkpoint.cpp", 1, "checkpoint-fields",
-                    f"{func}() has no definition in checkpoint.cpp",
-                )
-            )
-            continue
-        pos = impl.stripped.find(func)
-        for name in fields:
-            if not re.search(rf"\b{name}\b", body):
-                findings.append(
-                    Finding(
-                        "src/miniapp/checkpoint.cpp",
-                        line_of(impl.stripped, pos),
-                        "checkpoint-fields",
-                        f"{func}() never mentions registered checkpoint "
-                        f"field `{name}` (VECFD_TIMELOOP_STATE); a field "
-                        "covered in only one direction breaks restart "
-                        "bit-identity",
-                    )
-                )
     return findings
 
 
@@ -1084,7 +1012,6 @@ _FILE_RULES = [
 # real one, or a mini-root fixture dir under tests/lint/).
 _REPO_RULES = [
     rule_counter_registry,
-    rule_checkpoint_fields,
 ]
 
 
@@ -1127,6 +1054,16 @@ def scan_tree(repo_root: str, paths: list, engine: str) -> list:
 _EXPECT_RE = re.compile(r"EXPECT-FINDING\(([\w\-]+)\)")
 
 
+def _expect_markers(path: str) -> list:
+    """(line, rule-id) of every EXPECT-FINDING marker in the file at @p path."""
+    raw = open(path, encoding="utf-8").read()
+    return [
+        (lineno, m.group(1))
+        for lineno, text in enumerate(raw.splitlines(), 1)
+        for m in _EXPECT_RE.finditer(text)
+    ]
+
+
 def self_test(repo_root: str, engine: str) -> int:
     fixture_dir = os.path.join(repo_root, "tests", "lint")
     if not os.path.isdir(fixture_dir):
@@ -1134,6 +1071,7 @@ def self_test(repo_root: str, engine: str) -> int:
         return 2
     failures = 0
     cases = 0
+    covered = set()  # rule ids named by some EXPECT-FINDING marker
 
     def check(name, got, want):
         nonlocal failures, cases
@@ -1154,12 +1092,8 @@ def self_test(repo_root: str, engine: str) -> int:
     for name in sorted(os.listdir(fixture_dir)):
         path = os.path.join(fixture_dir, name)
         if os.path.isfile(path) and name.endswith(_SCAN_EXTS):
-            raw = open(path, encoding="utf-8").read()
-            want = [
-                (lineno, m.group(1))
-                for lineno, text in enumerate(raw.splitlines(), 1)
-                for m in _EXPECT_RE.finditer(text)
-            ]
+            want = _expect_markers(path)
+            covered.update(r for _line, r in want)
             # Scanned under their bare name: fixtures exercise every rule,
             # including ones whose tree scope excludes tests/.
             got = [
@@ -1181,18 +1115,19 @@ def self_test(repo_root: str, engine: str) -> int:
                         continue
                     fp = os.path.join(dirpath, fname)
                     rel = os.path.relpath(fp, path).replace(os.sep, "/")
-                    raw = open(fp, encoding="utf-8").read()
-                    want.extend(
-                        (rel, lineno, m.group(1))
-                        for lineno, text in enumerate(raw.splitlines(), 1)
-                        for m in _EXPECT_RE.finditer(text)
-                    )
+                    want.extend((rel, *m) for m in _expect_markers(fp))
+            covered.update(r for _rel, _line, r in want)
             got = [
                 (f.path, f.line, f.rule)
                 for repo_rule in _REPO_RULES
                 for f in repo_rule(path)
             ]
             check(name + "/", got, want)
+
+    # Every rule has a fixture that makes it fire: a rule added without a
+    # violating fixture is untested, and a marker naming a deleted rule has
+    # already failed its own fixture case above.
+    check("rule coverage", [r for r in RULES if r in covered], list(RULES))
 
     # current-PR inference reads both CHANGES.md entry shapes
     changes = "- PR 11: old shape\n- PR 13 [simplicity] new shape\n"
