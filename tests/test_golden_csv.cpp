@@ -1,6 +1,6 @@
 // Golden-file regression of the sweep and campaign CSV schemas and values.
 //
-// Two small workloads are serialized and compared against checked-in
+// Small workloads are serialized and compared against checked-in
 // goldens:
 //
 //   * tests/golden/sweep_small.csv — an assembly + phase-9 solve sweep
@@ -15,6 +15,10 @@
 //     instrumented BiCGStab solvers (single-RHS and blocked), per format
 //     and machine: per-column reports, a hash of x and the histories, and
 //     every registered counter of the Vpu solves;
+//   * tests/golden/cg_counters.csv — every exit and ladder rung of the
+//     instrumented vcg per format and machine, and every BLAS-1 solve
+//     kernel at an odd length: reports or results, a hash of the outputs
+//     and every registered counter;
 //   * tests/golden/assembly_counters.csv — every registered counter of
 //     assembly phases 0–8 and a hash of the assembled rhs and matrix, over
 //     4 platforms × 5 optimization levels × 2 VECTOR_SIZEs × 2 schemes.
@@ -48,6 +52,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <span>
 #include <sstream>
@@ -133,16 +138,22 @@ std::string format_cell(double v) {
 
 std::string format_cell(std::uint64_t v) { return std::to_string(v); }
 
+/// The cavity pressure Poisson operator of @p mesh, node 0 pinned.
+solver::CsrMatrix pinned_pressure_laplacian(const fem::Mesh& mesh) {
+  solver::CsrMatrix a =
+      fem::assemble_pressure_laplacian(mesh, fem::ShapeTable{});
+  const std::vector<int> pins = {0};
+  fem::pin_dirichlet(a, pins);
+  return a;
+}
+
 /// The sharded counter golden workload: a pinned 6^3 pressure Poisson
 /// system solved by solver::ShardedCg on riscv-vec at VECTOR_SIZE 64 for
 /// P ∈ {2, 4}.  One row per Vpu (shard 0..P-1, then the coordinator) with
 /// the solve's BSP makespan and every registered counter.
 std::string generate_sharded_counters_csv() {
   const fem::Mesh mesh({.nx = 6, .ny = 6, .nz = 6});
-  solver::CsrMatrix a =
-      fem::assemble_pressure_laplacian(mesh, fem::ShapeTable{});
-  const std::vector<int> pins = {0};
-  fem::pin_dirichlet(a, pins);
+  const solver::CsrMatrix a = pinned_pressure_laplacian(mesh);
   std::vector<double> b(static_cast<std::size_t>(mesh.num_nodes()), 0.0);
   for (std::size_t i = 1; i < b.size(); ++i) {
     b[i] = 1.0 + 0.25 * std::sin(static_cast<double>(i));
@@ -314,6 +325,240 @@ std::string generate_bicgstab_counters_csv() {
   return os.str();
 }
 
+/// The CG golden workload, in two parts, each on riscv-vec and
+/// riscv-vec-scalar at VECTOR_SIZE 64:
+///
+///   * vcg on a pinned 7³ pressure Laplacian (512 rows; its ELL mirror
+///     alone outgrows the 128 KB modelled L1, so a reordered load moves the
+///     miss counters) per format × ladder rung, plus the budget,
+///     zero-diagonal, injected-breakdown and zero-RHS exits;
+///   * every BLAS-1 kernel on fresh Vpus at an odd length whose operands
+///     outgrow the L1, each called twice (the second call re-streams a
+///     cache left by the first), blocked forms at k = 3 with column 1
+///     masked off, and a vnorm2 of a |a| ≈ 1e300 vector (the rescan path).
+///
+/// One row per solve or kernel: the report(s) or returned scalar, a hash of
+/// every output, and every registered counter.
+std::string generate_cg_counters_csv() {
+  const int vs = 64;
+  const fem::Mesh mesh({.nx = 7, .ny = 7, .nz = 7});
+  const solver::CsrMatrix a = pinned_pressure_laplacian(mesh);
+  solver::CsrMatrix a_zero_diag = a;
+  a_zero_diag.add(5, 5, -a_zero_diag.at(5, 5));
+  const std::size_t n = static_cast<std::size_t>(a.rows());
+  std::vector<double> b(n, 0.0);
+  for (std::size_t i = 1; i < n; ++i) {
+    b[i] = 1.0 + 0.25 * std::sin(static_cast<double>(i));
+  }
+  const std::vector<double> zero_b(n, 0.0);
+
+  struct Case {
+    std::string name;
+    const solver::CsrMatrix* a;
+    const std::vector<double>* b;
+    solver::SolveOptions opts;
+  };
+  std::vector<Case> cases;
+  for (const solver::PrecondKind kind :
+       {solver::PrecondKind::kJacobi, solver::PrecondKind::kCheby,
+        solver::PrecondKind::kDeflate}) {
+    solver::SolveOptions o;
+    o.precond.kind = kind;
+    if (kind == solver::PrecondKind::kDeflate) {
+      o.precond.aggregates = fem::structured_aggregates(mesh, 2);
+    }
+    cases.push_back({solver::to_string(kind), &a, &b, o});
+  }
+  cases.push_back({"none", &a, &b, {.jacobi_precondition = false,
+                                    .precond = {}}});
+  cases.push_back({"budget", &a, &b, {.max_iterations = 3, .precond = {}}});
+  cases.push_back({"zero-diagonal", &a_zero_diag, &b, {}});
+  cases.push_back({"breakdown", &a, &b,
+                   {.precond = {}, .inject_breakdown = true}});
+  cases.push_back({"zero-rhs", &a, &zero_b, {}});
+
+  std::ostringstream os;
+  os << "case,machine,format,result,hash";
+  sim::Counters::visit_fields(
+      [&](const sim::CounterInfo& info) { os << ',' << info.name; });
+  os << '\n';
+  const auto row = [&](const std::string& name, const sim::Vpu& vpu,
+                       std::string_view format, const std::string& result,
+                       std::span<const double> out) {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    fnv_mix(h, out);
+    char hex[20];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(h));
+    os << name << ',' << vpu.config().name << ',' << format << ',' << result
+       << ',' << hex;
+    vpu.counters().visit([&](const sim::CounterInfo&, const auto& v) {
+      os << ',' << format_cell(v);
+    });
+    os << '\n';
+  };
+
+  const sim::MachineConfig machines[] = {platforms::riscv_vec(),
+                                         platforms::riscv_vec_scalar()};
+  for (const sim::MachineConfig& m : machines) {
+    for (const solver::SpmvFormat f :
+         {solver::SpmvFormat::kCsrHost, solver::SpmvFormat::kEll,
+          solver::SpmvFormat::kSell}) {
+      for (const Case& c : cases) {
+        sim::Vpu vpu(m);
+        std::vector<double> x(n, 0.0);
+        const solver::SolveReport rep =
+            solver::vcg(vpu, *c.a, *c.b, x, c.opts, vs, nullptr, f);
+        std::vector<double> out = x;
+        out.insert(out.end(), rep.history.begin(), rep.history.end());
+        row(c.name, vpu, solver::to_string(f),
+            std::to_string(rep.iterations) + ':' +
+                std::to_string(rep.converged) + ':' +
+                format_cell(rep.residual) + ':' +
+                (rep.failure.empty() ? "ok" : "failed"),
+            out);
+      }
+    }
+  }
+
+  // BLAS-1 kernels: odd length, two 78 KB operands per call.
+  const int len = 10007;
+  const int k = 3;
+  const std::size_t ul = static_cast<std::size_t>(len);
+  const auto filled = [](std::size_t size, double scale, double phase) {
+    std::vector<double> v(size);
+    for (std::size_t i = 0; i < size; ++i) {
+      v[i] = scale * (1.0 + 0.5 * std::sin(0.37 * static_cast<double>(i) +
+                                           phase));
+    }
+    return v;
+  };
+  const std::vector<char> active = {1, 0, 1};
+  const std::vector<double> alphas = {0.5, -1.25, 2.0};
+  const std::vector<double> dinv = filled(ul, 0.25, 3.0);
+  using Kernel = std::function<std::string(sim::Vpu&, std::vector<double>&)>;
+  const std::vector<std::pair<std::string, Kernel>> kernels = {
+      {"vdot", [&](sim::Vpu& vpu, std::vector<double>& out) {
+         const auto u = filled(ul, 1.0, 0.0);
+         const auto v = filled(ul, 1.0, 1.0);
+         out.push_back(solver::vdot(vpu, u, v, vs));
+         out.push_back(solver::vdot(vpu, u, v, vs));
+         return format_cell(out.back());
+       }},
+      {"vnorm2", [&](sim::Vpu& vpu, std::vector<double>& out) {
+         const auto u = filled(2 * ul, 1.0, 0.0);
+         out.push_back(solver::vnorm2(vpu, u, vs));
+         out.push_back(solver::vnorm2(vpu, u, vs));
+         return format_cell(out.back());
+       }},
+      {"vnorm2-rescan", [&](sim::Vpu& vpu, std::vector<double>& out) {
+         const auto u = filled(2 * ul, 1e300, 0.0);
+         out.push_back(solver::vnorm2(vpu, u, vs));
+         out.push_back(solver::vnorm2(vpu, u, vs));
+         return format_cell(out.back());
+       }},
+      {"vaxpy", [&](sim::Vpu& vpu, std::vector<double>& out) {
+         const auto u = filled(ul, 1.0, 0.0);
+         out = filled(ul, 1.0, 1.0);
+         solver::vaxpy(vpu, 0.75, u, out, vs);
+         solver::vaxpy(vpu, -0.5, u, out, vs);
+         return std::string("-");
+       }},
+      {"vxpby", [&](sim::Vpu& vpu, std::vector<double>& out) {
+         const auto u = filled(ul, 1.0, 0.0);
+         out = filled(ul, 1.0, 1.0);
+         solver::vxpby(vpu, u, 0.75, out, vs);
+         solver::vxpby(vpu, u, -0.5, out, vs);
+         return std::string("-");
+       }},
+      {"vsub", [&](sim::Vpu& vpu, std::vector<double>& out) {
+         const auto u = filled(ul, 1.0, 0.0);
+         out = filled(ul, 1.0, 1.0);
+         solver::vsub(vpu, u, out, out, vs);
+         solver::vsub(vpu, out, u, out, vs);
+         return std::string("-");
+       }},
+      {"vcopy", [&](sim::Vpu& vpu, std::vector<double>& out) {
+         const auto u = filled(ul, 1.0, 0.0);
+         out.assign(ul, 0.0);
+         solver::vcopy(vpu, u, out, vs);
+         solver::vcopy(vpu, u, out, vs);
+         return std::string("-");
+       }},
+      {"vscal", [&](sim::Vpu& vpu, std::vector<double>& out) {
+         out = filled(2 * ul, 1.0, 0.0);
+         solver::vscal(vpu, 0.75, out, vs);
+         solver::vscal(vpu, -1.5, out, vs);
+         return std::string("-");
+       }},
+      {"vfill", [&](sim::Vpu& vpu, std::vector<double>& out) {
+         out.assign(2 * ul, 0.0);
+         solver::vfill(vpu, out, 0.75, vs);
+         solver::vfill(vpu, out, -1.5, vs);
+         return std::string("-");
+       }},
+      {"vjacobi_apply", [&](sim::Vpu& vpu, std::vector<double>& out) {
+         const auto r = filled(ul, 1.0, 0.0);
+         out.assign(ul, 0.0);
+         solver::vjacobi_apply(vpu, dinv, r, out, vs);
+         solver::vjacobi_apply(vpu, dinv, r, out, vs);
+         return std::string("-");
+       }},
+      {"vpack_strided", [&](sim::Vpu& vpu, std::vector<double>& out) {
+         const auto src = filled(3 * ul, 1.0, 0.0);
+         out.assign(ul, 0.0);
+         solver::vpack_strided(vpu, src.data() + 1, 3, out, vs);
+         solver::vpack_strided(vpu, src.data() + 2, 3, out, vs);
+         return std::string("-");
+       }},
+      {"vdot_multi", [&](sim::Vpu& vpu, std::vector<double>& out) {
+         const auto u = filled(k * ul, 1.0, 0.0);
+         const auto v = filled(k * ul, 1.0, 1.0);
+         out.assign(static_cast<std::size_t>(k), -7.0);
+         solver::vdot_multi(vpu, u, v, k, out, vs, active);
+         solver::vdot_multi(vpu, u, v, k, out, vs, active);
+         return std::string("-");
+       }},
+      {"vaxpy_multi", [&](sim::Vpu& vpu, std::vector<double>& out) {
+         const auto u = filled(k * ul, 1.0, 0.0);
+         out = filled(k * ul, 1.0, 1.0);
+         solver::vaxpy_multi(vpu, alphas, u, out, k, vs, active);
+         solver::vaxpy_multi(vpu, alphas, u, out, k, vs, active);
+         return std::string("-");
+       }},
+      {"vsub_multi", [&](sim::Vpu& vpu, std::vector<double>& out) {
+         const auto u = filled(k * ul, 1.0, 0.0);
+         out = filled(k * ul, 1.0, 1.0);
+         solver::vsub_multi(vpu, u, out, out, k, vs, active);
+         solver::vsub_multi(vpu, out, u, out, k, vs, active);
+         return std::string("-");
+       }},
+      {"vcopy_multi", [&](sim::Vpu& vpu, std::vector<double>& out) {
+         const auto u = filled(k * ul, 1.0, 0.0);
+         out.assign(k * ul, 0.0);
+         solver::vcopy_multi(vpu, u, out, k, vs, active);
+         solver::vcopy_multi(vpu, u, out, k, vs, active);
+         return std::string("-");
+       }},
+      {"vjacobi_apply_multi", [&](sim::Vpu& vpu, std::vector<double>& out) {
+         const auto r = filled(k * ul, 1.0, 0.0);
+         out.assign(k * ul, 0.0);
+         solver::vjacobi_apply_multi(vpu, dinv, r, out, k, vs, active);
+         solver::vjacobi_apply_multi(vpu, dinv, r, out, k, vs, active);
+         return std::string("-");
+       }},
+  };
+  for (const sim::MachineConfig& m : machines) {
+    for (const auto& [name, kernel] : kernels) {
+      sim::Vpu vpu(m);
+      std::vector<double> out;
+      const std::string result = kernel(vpu, out);
+      row(name, vpu, "-", result, out);
+    }
+  }
+  return os.str();
+}
+
 /// The assembly grid: every platform × optimization level, a VECTOR_SIZE
 /// below and one near the vlmax of the long-vector machines, both schemes.
 struct AssemblyPoint {
@@ -395,6 +640,8 @@ const Golden kBicgstabCounters{VECFD_GOLDEN_DIR "/bicgstab_counters.csv",
                                generate_bicgstab_counters_csv};
 const Golden kAssemblyCounters{VECFD_GOLDEN_DIR "/assembly_counters.csv",
                                generate_assembly_counters_csv};
+const Golden kCgCounters{VECFD_GOLDEN_DIR "/cg_counters.csv",
+                         generate_cg_counters_csv};
 
 std::vector<std::string> lines_of(const std::string& text) {
   std::vector<std::string> out;
@@ -528,6 +775,17 @@ TEST(GoldenAssemblyCounters, ValuesMatchBitwise) {
   expect_values_bitwise(kAssemblyCounters);
 }
 
+TEST(GoldenCgCounters, GoldenFileExists) { expect_golden_exists(kCgCounters); }
+
+TEST(GoldenCgCounters, SchemaIsByteStable) {
+  expect_schema_byte_stable(kCgCounters);
+}
+
+TEST(GoldenCgCounters, ValuesMatchBitwise) {
+  VECFD_SKIP_UNDER_ASAN();
+  expect_values_bitwise(kCgCounters);
+}
+
 // Every subkernel with a vector and a scalar lane form runs in both forms
 // somewhere in the golden grid, so the bitwise golden pins both.  phase8
 // is never vectorized (aliasing scatter).
@@ -555,7 +813,7 @@ int main(int argc, char** argv) {
   if (regen) {
     for (const Golden* g :
          {&kSweep, &kCampaign, &kShardedCounters, &kBicgstabCounters,
-          &kAssemblyCounters}) {
+          &kAssemblyCounters, &kCgCounters}) {
       std::ofstream os(g->path, std::ios::binary);
       if (!os) {
         std::fprintf(stderr, "cannot open %s\n", g->path);
