@@ -131,7 +131,7 @@ void phase1(Vpu& vpu, const Ctx& ctx, ElementChunk& ch) {
     // that defeats the vectorizer (§4, Algorithm 3).
     for (int iv = 0; iv < ch.vs(); ++iv) {
       p1_work_a(vpu, ctx, ch, iv);
-      p1_work_b(detail::ScalarLane{vpu, iv}, ctx, ch);
+      p1_work_b(sim::ScalarLane{vpu, iv}, ctx, ch);
     }
   }
 }
@@ -146,7 +146,7 @@ void phase2(Vpu& vpu, const Ctx& ctx, ElementChunk& ch) {
       for (int iv = 0; iv < ch.vs(); ++iv) {
         (void)vpu.sload(ctx.vector_dim_slot);  // fetch VECTOR_DIM
         vpu.sarith(1);                         // compare against it
-        p2_gather(detail::ScalarLane{vpu, iv}, ctx, ch);
+        p2_gather(sim::ScalarLane{vpu, iv}, ctx, ch);
       }
       return;
     case Phase2Shape::kDofInner:

@@ -2,18 +2,16 @@
 //
 // Each phase mirrors its description in §2.3 of the paper and is written
 // against the sim::Vpu instruction API.  Every subkernel has ONE body,
-// templated on a lane type: `for_lanes` issues it either as a vector strip
-// (VectorLanes: vload / vfma_s / vgather ...) or once per element as
-// scalar code (ScalarLane: sload / sfma ...).  Which form runs is decided
-// by the PhasePlan (the modelled compiler), so a single source of truth
-// covers the scalar baseline, the vanilla auto-vectorized build and the
-// VEC2 / IVEC2 / VEC1 source transformations.  Both forms compute
-// identical values, which the test suite checks against
-// fem::assemble_element.
+// templated on a lane type of sim/lanes.h: `for_lanes` issues it either as
+// a vector strip (sim::VectorLanes: vload / vfma_s / vgather ...) or once
+// per element as scalar code (sim::ScalarLane: sload / sfma ...).  Which
+// form runs is decided by the PhasePlan (the modelled compiler), so a
+// single source of truth covers the scalar baseline, the vanilla
+// auto-vectorized build and the VEC2 / IVEC2 / VEC1 source
+// transformations.  Both forms compute identical values, which the test
+// suite checks against fem::assemble_element.
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "fem/mesh.h"
@@ -23,6 +21,7 @@
 #include "miniapp/chunk.h"
 #include "miniapp/config.h"
 #include "miniapp/plan.h"
+#include "sim/lanes.h"
 #include "sim/vpu.h"
 #include "solver/csr.h"
 
@@ -71,78 +70,6 @@ void for_groups(const sim::Vpu& vpu, const ElementChunk& ch, Fn&& fn) {
   }
 }
 
-/// The elements [off, off + vl) of a chunk as one vector strip.  Each op
-/// is exactly one Vpu vector instruction; chunk-array addresses are
-/// offset by `off`, gather bases are not.
-struct VectorLanes {
-  sim::Vpu& vpu;
-  int off;
-
-  using V = sim::Vec;
-
-  V load(const double* p) const { return vpu.vload(p + off); }
-  V load_i32(const std::int32_t* p) const { return vpu.vload_i32(p + off); }
-  void store(double* p, const V& v) const { vpu.vstore(p + off, v); }
-  V gather(const double* base, const V& idx) const {
-    return vpu.vgather(base, idx);
-  }
-  V splat(double s) const { return vpu.vsplat(s); }
-  V add(const V& a, const V& b) const { return vpu.vadd(a, b); }
-  V add_s(const V& a, double s) const { return vpu.vadd_s(a, s); }
-  V mul(const V& a, const V& b) const { return vpu.vmul(a, b); }
-  V mul_s(const V& a, double s) const { return vpu.vmul_s(a, s); }
-  V div(const V& a, const V& b) const { return vpu.vdiv(a, b); }
-  V fma(const V& a, const V& b, const V& c) const { return vpu.vfma(a, b, c); }
-  V fma_s(const V& a, double s, const V& c) const {
-    return vpu.vfma_s(a, s, c);
-  }
-  V fnma(const V& a, const V& b, const V& c) const {
-    return vpu.vfnma(a, b, c);
-  }
-  V sqrt(const V& a) const { return vpu.vsqrt(a); }
-  V cbrt(const V& a) const { return vpu.vcbrt(a); }
-  V imul_s(const V& a, int s) const { return vpu.vimul_s(a, s); }
-  V iadd_s(const V& a, int s) const { return vpu.viadd_s(a, s); }
-};
-
-/// Element `iv` of a chunk as scalar code: each op is the scalar-core
-/// twin of the VectorLanes op.  A broadcast and an index offset are free
-/// (an immediate operand and an addressing mode); an index scale costs one
-/// scalar ALU op.
-struct ScalarLane {
-  sim::Vpu& vpu;
-  int iv;
-
-  using V = double;
-
-  V load(const double* p) const { return vpu.sload(p + iv); }
-  std::int32_t load_i32(const std::int32_t* p) const {
-    return vpu.sload_i32(p + iv);
-  }
-  void store(double* p, V v) const { vpu.sstore(p + iv, v); }
-  V gather(const double* base, std::size_t idx) const {
-    return vpu.sload(base + idx);
-  }
-  V splat(double s) const { return s; }
-  V add(V a, V b) const { return vpu.sadd(a, b); }
-  V add_s(V a, double s) const { return vpu.sadd(a, s); }
-  V mul(V a, V b) const { return vpu.smul(a, b); }
-  V mul_s(V a, double s) const { return vpu.smul(a, s); }
-  V div(V a, V b) const { return vpu.sdiv(a, b); }
-  V fma(V a, V b, V c) const { return vpu.sfma(a, b, c); }
-  V fma_s(V a, double s, V c) const { return vpu.sfma(a, s, c); }
-  V fnma(V a, V b, V c) const { return vpu.sfnma(a, b, c); }
-  V sqrt(V a) const { return vpu.ssqrt(a); }
-  V cbrt(V a) const { return vpu.scbrt(a); }
-  std::size_t imul_s(std::int32_t a, int s) const {
-    vpu.sarith(1);  // address scale
-    return static_cast<std::size_t>(a) * static_cast<std::size_t>(s);
-  }
-  std::size_t iadd_s(std::size_t a, int s) const {
-    return a + static_cast<std::size_t>(s);
-  }
-};
-
 /// Issue a subkernel over the group [off, off + n): as one vector strip
 /// when @p vectorize, else element by element on the scalar core.
 /// @p body is called with a VectorLanes or a ScalarLane.
@@ -150,9 +77,9 @@ template <class Body>
 void for_lanes(sim::Vpu& vpu, bool vectorize, int off, int n, Body&& body) {
   if (vectorize) {
     vpu.set_vl(n);
-    body(VectorLanes{vpu, off});
+    body(sim::VectorLanes{vpu, off});
   } else {
-    for (int iv = off; iv < off + n; ++iv) body(ScalarLane{vpu, iv});
+    for (int iv = off; iv < off + n; ++iv) body(sim::ScalarLane{vpu, iv});
   }
 }
 

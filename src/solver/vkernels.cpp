@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "sim/lanes.h"
 #include "solver/bicgstab_recurrence.h"
 #include "solver/cg_recurrence.h"
 #include "solver/preconditioner.h"
@@ -17,15 +18,6 @@ int solve_effective_strip(int requested, const sim::MachineConfig& machine) {
 }
 
 namespace {
-
-bool vector_path(const sim::Vpu& vpu) { return vpu.config().vector_enabled; }
-
-int effective_strip(const sim::Vpu& vpu, int strip) {
-  return solve_effective_strip(strip, vpu.config());
-}
-
-// for_strips — the canonical strip-miner — now lives in vkernels.h so the
-// preconditioner kernels share it.
 
 void check_len(std::size_t got, std::size_t want, const char* what) {
   if (got != want) {
@@ -67,6 +59,39 @@ std::size_t check_multi(std::size_t block_size, int k,
   return block_size / static_cast<std::size_t>(k);
 }
 
+/// Issue `body(lane, d, off)` over element 0 .. n−1 of every active
+/// column d of a k-column block (column d starts at element off = d·n).
+/// On a vector machine: ONE strip-mined pass, each strip issuing the
+/// active columns in turn through a sim::VectorLanes (one vsetvl and loop
+/// control per strip for all k columns).  On a scalar machine: column
+/// after column, element after element through a sim::ScalarLane, with
+/// one loop-control op per element.  At k = 1 both are the single-column
+/// stream, so per-column counters are the same for any k.
+template <class Body>
+void for_columns(sim::Vpu& vpu, std::size_t n, int k, int strip,
+                 std::span<const char> active, Body&& body) {
+  if (!any_active(active, k)) return;
+  if (vpu.config().vector_enabled) {
+    for_strips(vpu, static_cast<int>(n),
+               solve_effective_strip(strip, vpu.config()), [&](int i, int) {
+      for (int d = 0; d < k; ++d) {
+        if (!col_active(active, d)) continue;
+        const std::size_t ud = static_cast<std::size_t>(d);
+        body(sim::VectorLanes{vpu, i}, ud, ud * n);
+      }
+    });
+    return;
+  }
+  for (int d = 0; d < k; ++d) {
+    if (!col_active(active, d)) continue;
+    const std::size_t ud = static_cast<std::size_t>(d);
+    for (int i = 0; i < static_cast<int>(n); ++i) {
+      body(sim::ScalarLane{vpu, i}, ud, ud * n);
+      vpu.sarith(1);
+    }
+  }
+}
+
 /// out_d = base_d + scale[d]·scaled_d for every active column (out may
 /// alias either input) — the one kernel behind vaxpy, vxpby, vaxpy_multi
 /// and the s / r updates of BiCGStab.
@@ -78,31 +103,10 @@ void axpby_block(sim::Vpu& vpu, std::span<const double> base,
   check_len(base.size(), out.size(), "axpby");
   check_len(scaled.size(), out.size(), "axpby");
   check_len(scale.size(), static_cast<std::size_t>(k), "axpby");
-  if (!any_active(active, k)) return;
-  if (!vector_path(vpu)) {
-    for (int d = 0; d < k; ++d) {
-      if (!col_active(active, d)) continue;
-      const std::size_t off = static_cast<std::size_t>(d) * n;
-      const double sd = scale[static_cast<std::size_t>(d)];
-      for (std::size_t i = off; i < off + n; ++i) {
-        const double bi = vpu.sload(base.data() + i);
-        const double si = vpu.sload(scaled.data() + i);
-        vpu.sstore(out.data() + i, vpu.sfma(si, sd, bi));
-        vpu.sarith(1);
-      }
-    }
-    return;
-  }
-  for_strips(vpu, static_cast<int>(n), effective_strip(vpu, strip),
-             [&](int i, int) {
-    for (int d = 0; d < k; ++d) {
-      if (!col_active(active, d)) continue;
-      const std::size_t off = static_cast<std::size_t>(d) * n;
-      const sim::Vec vb = vpu.vload(base.data() + off + i);
-      const sim::Vec vs = vpu.vload(scaled.data() + off + i);
-      vpu.vstore(out.data() + off + i,
-                 vpu.vfma_s(vs, scale[static_cast<std::size_t>(d)], vb));
-    }
+  for_columns(vpu, n, k, strip, active, [&](auto l, auto d, auto off) {
+    const auto vb = l.load(base.data() + off);
+    const auto vs = l.load(scaled.data() + off);
+    l.store(out.data() + off, l.fma_s(vs, scale[d], vb));
   });
 }
 
@@ -110,10 +114,10 @@ void axpby_block(sim::Vpu& vpu, std::span<const double> base,
 
 // ---- instrumented kernels ---------------------------------------------
 // Every kernel with a multi-RHS form is written once, over k node-major
-// columns; the single-RHS entry point is its k = 1 call.  The fused vector
-// pass at k = 1 issues exactly the single-column instruction sequence, and
-// the scalar fallback walks the active columns one after another, so
-// per-column results and counters are the same for any k (DESIGN.md §5).
+// columns; the single-RHS entry point is its k = 1 call.  The BLAS-1
+// kernels are one lane body each, issued by for_columns; the SpMVs keep a
+// vector and a scalar form because their scalar loops walk rows, not
+// strips (DESIGN.md §5).
 
 void vspmv_multi(sim::Vpu& vpu, const EllMatrix& a, std::span<const double> x,
                  std::span<double> y, int k, int strip,
@@ -123,7 +127,7 @@ void vspmv_multi(sim::Vpu& vpu, const EllMatrix& a, std::span<const double> x,
   check_len(n, static_cast<std::size_t>(a.rows()), "vspmv");
   check_len(x.size(), nx * static_cast<std::size_t>(k), "vspmv");
   if (!any_active(active, k)) return;
-  if (!vector_path(vpu)) {
+  if (!vpu.config().vector_enabled) {
     for (int d = 0; d < k; ++d) {
       if (!col_active(active, d)) continue;
       const double* xd = x.data() + static_cast<std::size_t>(d) * nx;
@@ -153,8 +157,8 @@ void vspmv_multi(sim::Vpu& vpu, const EllMatrix& a, std::span<const double> x,
   // cannot re-alias a measured buffer.
   // vecfd-lint: allow(measured-alloc) register-value storage, never mapped
   std::vector<sim::Vec> acc(static_cast<std::size_t>(k));
-  for_strips(vpu, static_cast<int>(n), effective_strip(vpu, strip),
-             [&](int i, int) {
+  for_strips(vpu, static_cast<int>(n),
+             solve_effective_strip(strip, vpu.config()), [&](int i, int) {
     for (int d = 0; d < k; ++d) {
       if (col_active(active, d)) {
         acc[static_cast<std::size_t>(d)] = vpu.vsplat(0.0);
@@ -193,7 +197,7 @@ void vspmv_multi(sim::Vpu& vpu, const SellMatrix& a,
   check_len(x.size(), y.size(), "vspmv(sell)");
   check_len(n, static_cast<std::size_t>(a.rows()), "vspmv(sell)");
   if (!any_active(active, k)) return;
-  if (!vector_path(vpu)) {
+  if (!vpu.config().vector_enabled) {
     // Scalar fallback walks lanes in slice order (the layout's memory
     // order); per-row accumulation order is CSR order, values identical.
     for (int d = 0; d < k; ++d) {
@@ -225,7 +229,7 @@ void vspmv_multi(sim::Vpu& vpu, const SellMatrix& a,
     }
     return;
   }
-  const int eff = effective_strip(vpu, strip);
+  const int eff = solve_effective_strip(strip, vpu.config());
   // Vec accumulators, as above: register values only, never mapped.
   // vecfd-lint: allow(measured-alloc) register-value storage, never mapped
   std::vector<sim::Vec> acc(static_cast<std::size_t>(k));
@@ -369,34 +373,13 @@ void vdot_multi(sim::Vpu& vpu, std::span<const double> a,
   const std::size_t n = check_multi(a.size(), k, active, "vdot");
   check_len(b.size(), a.size(), "vdot");
   check_len(out.size(), static_cast<std::size_t>(k), "vdot");
-  if (!any_active(active, k)) return;
   for (int d = 0; d < k; ++d) {
     if (col_active(active, d)) out[static_cast<std::size_t>(d)] = 0.0;
   }
-  if (!vector_path(vpu)) {
-    for (int d = 0; d < k; ++d) {
-      if (!col_active(active, d)) continue;
-      const std::size_t off = static_cast<std::size_t>(d) * n;
-      double& s = out[static_cast<std::size_t>(d)];
-      for (std::size_t i = off; i < off + n; ++i) {
-        const double ai = vpu.sload(a.data() + i);
-        const double bi = vpu.sload(b.data() + i);
-        s = vpu.sfma(ai, bi, s);
-        vpu.sarith(1);
-      }
-    }
-    return;
-  }
-  for_strips(vpu, static_cast<int>(n), effective_strip(vpu, strip),
-             [&](int i, int) {
-    for (int d = 0; d < k; ++d) {
-      if (!col_active(active, d)) continue;
-      const std::size_t off = static_cast<std::size_t>(d) * n;
-      const sim::Vec va = vpu.vload(a.data() + off + i);
-      const sim::Vec vb = vpu.vload(b.data() + off + i);
-      out[static_cast<std::size_t>(d)] = vpu.sadd(
-          out[static_cast<std::size_t>(d)], vpu.vredsum(vpu.vmul(va, vb)));
-    }
+  for_columns(vpu, n, k, strip, active, [&](auto l, auto d, auto off) {
+    const auto va = l.load(a.data() + off);
+    const auto vb = l.load(b.data() + off);
+    out[d] = l.dot_acc(out[d], va, vb);
   });
 }
 
@@ -408,15 +391,18 @@ double vdot(sim::Vpu& vpu, std::span<const double> a,
 }
 
 double vnorm2(sim::Vpu& vpu, std::span<const double> a, int strip) {
-  const int n = static_cast<int>(a.size());
+  const std::size_t n = a.size();
+  // The ‖a‖∞ scan keeps two forms: the vector strip pays one extra
+  // loop-control op for its vredmax, and the scalar fabs is free.
   const auto abs_max = [&](auto&& max_into) {
-    if (vector_path(vpu)) {
-      for_strips(vpu, n, effective_strip(vpu, strip), [&](int i, int) {
+    if (vpu.config().vector_enabled) {
+      for_strips(vpu, static_cast<int>(n),
+                 solve_effective_strip(strip, vpu.config()), [&](int i, int) {
         max_into(vpu.vredmax(vpu.vabs(vpu.vload(a.data() + i))));
         vpu.sarith(1);
       });
     } else {
-      for (int i = 0; i < n; ++i) {
+      for (std::size_t i = 0; i < n; ++i) {
         max_into(std::fabs(vpu.sload(a.data() + i)));
         vpu.sarith(1);
       }
@@ -424,18 +410,11 @@ double vnorm2(sim::Vpu& vpu, std::span<const double> a, int strip) {
   };
   const auto scaled_sum_sq = [&](double m) {
     double ssq = 0.0;
-    if (vector_path(vpu)) {
-      for_strips(vpu, n, effective_strip(vpu, strip), [&](int i, int) {
-        const sim::Vec q = vpu.vdiv(vpu.vload(a.data() + i), vpu.vsplat(m));
-        ssq = vpu.sadd(ssq, vpu.vredsum(vpu.vmul(q, q)));
-      });
-    } else {
-      for (int i = 0; i < n; ++i) {
-        const double q = vpu.sdiv(vpu.sload(a.data() + i), m);
-        ssq = vpu.sfma(q, q, ssq);
-        vpu.sarith(1);
-      }
-    }
+    for_columns(vpu, n, 1, strip, {}, [&](auto l, auto, auto) {
+      const auto va = l.load(a.data());
+      const auto q = l.div(va, l.splat(m));
+      ssq = l.dot_acc(ssq, q, q);
+    });
     return ssq;
   };
   return norm2_rescan(
@@ -464,29 +443,10 @@ void vsub_multi(sim::Vpu& vpu, std::span<const double> a,
   const std::size_t n = check_multi(out.size(), k, active, "vsub");
   check_len(a.size(), out.size(), "vsub");
   check_len(b.size(), out.size(), "vsub");
-  if (!any_active(active, k)) return;
-  if (!vector_path(vpu)) {
-    for (int d = 0; d < k; ++d) {
-      if (!col_active(active, d)) continue;
-      const std::size_t off = static_cast<std::size_t>(d) * n;
-      for (std::size_t i = off; i < off + n; ++i) {
-        const double ai = vpu.sload(a.data() + i);
-        const double bi = vpu.sload(b.data() + i);
-        vpu.sstore(out.data() + i, vpu.ssub(ai, bi));
-        vpu.sarith(1);
-      }
-    }
-    return;
-  }
-  for_strips(vpu, static_cast<int>(n), effective_strip(vpu, strip),
-             [&](int i, int) {
-    for (int d = 0; d < k; ++d) {
-      if (!col_active(active, d)) continue;
-      const std::size_t off = static_cast<std::size_t>(d) * n;
-      const sim::Vec va = vpu.vload(a.data() + off + i);
-      const sim::Vec vb = vpu.vload(b.data() + off + i);
-      vpu.vstore(out.data() + off + i, vpu.vsub(va, vb));
-    }
+  for_columns(vpu, n, k, strip, active, [&](auto l, auto, auto off) {
+    const auto va = l.load(a.data() + off);
+    const auto vb = l.load(b.data() + off);
+    l.store(out.data() + off, l.sub(va, vb));
   });
 }
 
@@ -500,25 +460,8 @@ void vcopy_multi(sim::Vpu& vpu, std::span<const double> src,
                  std::span<const char> active) {
   const std::size_t n = check_multi(dst.size(), k, active, "vcopy");
   check_len(src.size(), dst.size(), "vcopy");
-  if (!any_active(active, k)) return;
-  if (!vector_path(vpu)) {
-    for (int d = 0; d < k; ++d) {
-      if (!col_active(active, d)) continue;
-      const std::size_t off = static_cast<std::size_t>(d) * n;
-      for (std::size_t i = off; i < off + n; ++i) {
-        vpu.sstore(dst.data() + i, vpu.sload(src.data() + i));
-        vpu.sarith(1);
-      }
-    }
-    return;
-  }
-  for_strips(vpu, static_cast<int>(n), effective_strip(vpu, strip),
-             [&](int i, int) {
-    for (int d = 0; d < k; ++d) {
-      if (!col_active(active, d)) continue;
-      const std::size_t off = static_cast<std::size_t>(d) * n;
-      vpu.vstore(dst.data() + off + i, vpu.vload(src.data() + off + i));
-    }
+  for_columns(vpu, n, k, strip, active, [&](auto l, auto, auto off) {
+    l.store(dst.data() + off, l.load(src.data() + off));
   });
 }
 
@@ -528,31 +471,15 @@ void vcopy(sim::Vpu& vpu, std::span<const double> src, std::span<double> dst,
 }
 
 void vscal(sim::Vpu& vpu, double alpha, std::span<double> x, int strip) {
-  const int n = static_cast<int>(x.size());
-  if (vector_path(vpu)) {
-    for_strips(vpu, n, effective_strip(vpu, strip), [&](int i, int) {
-      vpu.vstore(x.data() + i, vpu.vmul_s(vpu.vload(x.data() + i), alpha));
-    });
-  } else {
-    for (int i = 0; i < n; ++i) {
-      vpu.sstore(x.data() + i, vpu.smul(vpu.sload(x.data() + i), alpha));
-      vpu.sarith(1);
-    }
-  }
+  for_columns(vpu, x.size(), 1, strip, {}, [&](auto l, auto, auto) {
+    l.store(x.data(), l.mul_s(l.load(x.data()), alpha));
+  });
 }
 
 void vfill(sim::Vpu& vpu, std::span<double> dst, double value, int strip) {
-  const int n = static_cast<int>(dst.size());
-  if (vector_path(vpu)) {
-    for_strips(vpu, n, effective_strip(vpu, strip), [&](int i, int) {
-      vpu.vstore(dst.data() + i, vpu.vsplat(value));
-    });
-  } else {
-    for (int i = 0; i < n; ++i) {
-      vpu.sstore(dst.data() + i, value);
-      vpu.sarith(1);
-    }
-  }
+  for_columns(vpu, dst.size(), 1, strip, {}, [&](auto l, auto, auto) {
+    l.store(dst.data(), l.splat(value));
+  });
 }
 
 void vjacobi_apply_multi(sim::Vpu& vpu, std::span<const double> dinv,
@@ -565,29 +492,10 @@ void vjacobi_apply_multi(sim::Vpu& vpu, std::span<const double> dinv,
   const std::size_t n = check_multi(z.size(), k, active, "vjacobi_apply");
   check_len(r.size(), z.size(), "vjacobi_apply");
   check_len(dinv.size(), n, "vjacobi_apply");
-  if (!any_active(active, k)) return;
-  if (!vector_path(vpu)) {
-    for (int d = 0; d < k; ++d) {
-      if (!col_active(active, d)) continue;
-      const std::size_t off = static_cast<std::size_t>(d) * n;
-      for (std::size_t i = 0; i < n; ++i) {
-        const double di = vpu.sload(dinv.data() + i);
-        const double ri = vpu.sload(r.data() + off + i);
-        vpu.sstore(z.data() + off + i, vpu.smul(di, ri));
-        vpu.sarith(1);
-      }
-    }
-    return;
-  }
-  for_strips(vpu, static_cast<int>(n), effective_strip(vpu, strip),
-             [&](int i, int) {
-    for (int d = 0; d < k; ++d) {
-      if (!col_active(active, d)) continue;
-      const std::size_t off = static_cast<std::size_t>(d) * n;
-      const sim::Vec vd = vpu.vload(dinv.data() + i);
-      const sim::Vec vr = vpu.vload(r.data() + off + i);
-      vpu.vstore(z.data() + off + i, vpu.vmul(vd, vr));
-    }
+  for_columns(vpu, n, k, strip, active, [&](auto l, auto, auto off) {
+    const auto vd = l.load(dinv.data());
+    const auto vr = l.load(r.data() + off);
+    l.store(z.data() + off, l.mul(vd, vr));
   });
 }
 
@@ -599,18 +507,9 @@ void vjacobi_apply(sim::Vpu& vpu, std::span<const double> dinv,
 
 void vpack_strided(sim::Vpu& vpu, const double* base, std::ptrdiff_t stride,
                    std::span<double> out, int strip) {
-  const int n = static_cast<int>(out.size());
-  if (vector_path(vpu)) {
-    for_strips(vpu, n, effective_strip(vpu, strip), [&](int i, int) {
-      const sim::Vec v = vpu.vload_strided(base + stride * i, stride);
-      vpu.vstore(out.data() + i, v);
-    });
-  } else {
-    for (int i = 0; i < n; ++i) {
-      vpu.sstore(out.data() + i, vpu.sload(base + stride * i));
-      vpu.sarith(1);
-    }
-  }
+  for_columns(vpu, out.size(), 1, strip, {}, [&](auto l, auto, auto) {
+    l.store(out.data(), l.load_strided(base, stride));
+  });
 }
 
 namespace {
@@ -625,44 +524,16 @@ void bicgstab_p_update_multi(sim::Vpu& vpu, std::span<const double> r,
                              std::span<const char> active) {
   const std::size_t n = check_multi(p.size(), k, active,
                                     "bicgstab_p_update");
-  if (!any_active(active, k)) return;
-  if (!vector_path(vpu)) {
-    for (int d = 0; d < k; ++d) {
-      if (!col_active(active, d)) continue;
-      const std::size_t ud = static_cast<std::size_t>(d);
-      const std::size_t off = ud * n;
-      for (std::size_t i = off; i < off + n; ++i) {
-        if (restart[ud]) {
-          vpu.sstore(p.data() + i, vpu.sload(r.data() + i));
-        } else {
-          const double pi = vpu.sload(p.data() + i);
-          const double vi = vpu.sload(v.data() + i);
-          const double ri = vpu.sload(r.data() + i);
-          vpu.sstore(p.data() + i,
-                     vpu.sfma(vpu.sfma(vi, -omega[ud], pi), beta[ud], ri));
-        }
-        vpu.sarith(1);
-      }
+  for_columns(vpu, n, k, strip, active, [&](auto l, auto d, auto off) {
+    if (restart[d]) {
+      l.store(p.data() + off, l.load(r.data() + off));
+      return;
     }
-    return;
-  }
-  for_strips(vpu, static_cast<int>(n), effective_strip(vpu, strip),
-             [&](int i, int) {
-    for (int d = 0; d < k; ++d) {
-      if (!col_active(active, d)) continue;
-      const std::size_t off = static_cast<std::size_t>(d) * n;
-      if (restart[static_cast<std::size_t>(d)]) {
-        vpu.vstore(p.data() + off + i, vpu.vload(r.data() + off + i));
-        continue;
-      }
-      const sim::Vec vp = vpu.vload(p.data() + off + i);
-      const sim::Vec vv = vpu.vload(v.data() + off + i);
-      const sim::Vec vr = vpu.vload(r.data() + off + i);
-      const sim::Vec tmp =
-          vpu.vfma_s(vv, -omega[static_cast<std::size_t>(d)], vp);
-      vpu.vstore(p.data() + off + i,
-                 vpu.vfma_s(tmp, beta[static_cast<std::size_t>(d)], vr));
-    }
+    const auto vp = l.load(p.data() + off);
+    const auto vv = l.load(v.data() + off);
+    const auto vr = l.load(r.data() + off);
+    const auto tmp = l.fma_s(vv, -omega[d], vp);
+    l.store(p.data() + off, l.fma_s(tmp, beta[d], vr));
   });
 }
 

@@ -25,9 +25,11 @@
 // Every kernel takes a `strip` parameter — the requested software strip
 // length, Alya's VECTOR_SIZE applied to the solve; <= 0 means vlmax.  On a
 // scalar-only machine configuration (vector_enabled == false) each kernel
-// falls back to an instrumented scalar loop computing identical values, so
-// the scalar/vector comparison the paper draws for assembly extends to the
-// solve.
+// runs as instrumented scalar code computing identical values, so the
+// scalar/vector comparison the paper draws for assembly extends to the
+// solve.  A BLAS-1 kernel has one body over the lane types of sim/lanes.h,
+// issued as vector strips or scalar lanes; the SpMVs keep a scalar loop of
+// their own, which walks rows in the layout's memory order.
 //
 // Operator setup (the ELL mirror, the Jacobi diagonal) is host-side and
 // uncounted: the co-design analysis targets the iteration loop, and in a
@@ -274,7 +276,7 @@ void vpack_strided(sim::Vpu& vpu, const double* base, std::ptrdiff_t stride,
 // inactive columns are neither read nor written — the solvers mask out
 // converged/broken-down columns so their iterates stay frozen exactly as a
 // standalone solve would leave them.  On a scalar-only machine every multi
-// kernel runs its instrumented scalar loop over each active column in turn.
+// kernel runs its scalar form over each active column in turn.
 
 /// Y_d = A·X_d for every active column (shared slab loads, k gather/fma
 /// streams); X holds k columns of a.num_cols(), Y k columns of a.rows().

@@ -155,6 +155,9 @@ TEST(CliContract, InvalidArgumentsExitNonZeroAndNameTheFlag) {
       {"--vs 0", "--vs"},
       {"--vs banana", "--vs"},
       {"--mesh 0,0,0", "--mesh"},
+      {"--steps 1 --mesh 3,3,3,99", "--mesh"},  // trailing field
+      {"--steps 1 --mesh 3,3,3junk", "--mesh"},  // trailing text
+      {"--mesh 3,3,99999999999", "--mesh"},      // overflows int
       {"--opt turbo", "--opt"},
       {"--scheme magic", "--scheme"},
       {"--jobs -2", "--jobs"},

@@ -175,6 +175,21 @@ std::optional<int> parse_int(const char* s) {
   return static_cast<int>(v);
 }
 
+/// Strict X,Y,Z parse: exactly three comma-separated positive integers.
+bool parse_mesh(const std::string& s, Options& opt) {
+  int* const dims[] = {&opt.nx, &opt.ny, &opt.nz};
+  std::size_t pos = 0;
+  for (int i = 0; i < 3; ++i) {
+    const std::size_t end = i < 2 ? s.find(',', pos) : s.size();
+    if (end == std::string::npos) return false;
+    const auto n = parse_int(s.substr(pos, end - pos).c_str());
+    if (!n || *n <= 0) return false;
+    *dims[i] = *n;
+    pos = end + 1;
+  }
+  return true;
+}
+
 bool parse_args(int argc, char** argv, Options& opt) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
@@ -255,8 +270,7 @@ bool parse_args(int argc, char** argv, Options& opt) {
     } else if (a == "--mesh") {
       const char* v = next();
       if (!v) return fail(a, "missing value");
-      if (std::sscanf(v, "%d,%d,%d", &opt.nx, &opt.ny, &opt.nz) != 3 ||
-          opt.nx <= 0 || opt.ny <= 0 || opt.nz <= 0) {
+      if (!parse_mesh(v, opt)) {
         return fail(a, "invalid mesh '" + std::string(v) +
                            "' (want X,Y,Z with positive elements per axis)");
       }
