@@ -411,8 +411,9 @@ double vnorm2(sim::Vpu& vpu, std::span<const double> a, int strip) {
   const auto scaled_sum_sq = [&](double m) {
     double ssq = 0.0;
     for_columns(vpu, n, 1, strip, {}, [&](auto l, auto, auto) {
+      const auto vm = l.splat(m);
       const auto va = l.load(a.data());
-      const auto q = l.div(va, l.splat(m));
+      const auto q = l.div(va, vm);
       ssq = l.dot_acc(ssq, q, q);
     });
     return ssq;
