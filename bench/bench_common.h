@@ -1,10 +1,11 @@
-// Shared setup for the paper-reproduction bench binaries.
+// Shared setup for the bench binaries.
 //
-// Every table/figure of the evaluation runs on the same workload: a
-// structured hex mesh of 16×20×24 = 7680 elements (divisible by every
-// studied VECTOR_SIZE: 16, 64, 128, 240, 256, 512) with the deterministic
-// Taylor–Green-style initial field.  VECFD_BENCH_SMALL=1 in the
-// environment switches to a 960-element mesh for quick runs.
+// The paper's evaluation runs on one workload: a structured hex mesh of
+// 16×20×24 = 7680 elements (divisible by every studied VECTOR_SIZE: 16,
+// 64, 128, 240, 256, 512) with the deterministic Taylor–Green-style
+// initial field.  VECFD_BENCH_SMALL=1 in the environment switches
+// Workload to a 960-element mesh for quick runs; the paper scorecard
+// (paper_scorecard.h) always runs the full mesh.
 #pragma once
 
 #include <climits>
@@ -27,18 +28,20 @@ inline bool small_run() {
   return e != nullptr && e[0] == '1';
 }
 
+/// The paper's evaluation mesh, 16×20×24 = 7680 elements.
+inline constexpr fem::MeshConfig kPaperMesh{.nx = 16, .ny = 20, .nz = 24};
+
 struct Workload {
   Workload()
-      : mesh(small_run()
-                 ? fem::MeshConfig{.nx = 8, .ny = 10, .nz = 12}
-                 : fem::MeshConfig{.nx = 16, .ny = 20, .nz = 24}),
+      : mesh(small_run() ? fem::MeshConfig{.nx = 8, .ny = 10, .nz = 12}
+                         : kPaperMesh),
         state(mesh) {}
   fem::Mesh mesh;
   fem::State state;
 };
 
 /// The paper's studied VECTOR_SIZE values (§2.3).
-inline constexpr int kVectorSizes[] = {16, 64, 128, 240, 256, 512};
+inline constexpr auto& kVectorSizes = miniapp::kStudiedVectorSizes;
 
 /// Worker threads for sweep fan-out: VECFD_BENCH_JOBS in the environment
 /// (unset/0 = all cores, 1 = serial).  Results are byte-identical at any
@@ -56,17 +59,6 @@ inline int sweep_jobs() {
     std::exit(2);
   }
   return static_cast<int>(v);
-}
-
-/// The paper's full evaluation grid — kVectorSizes × {vanilla, VEC2, IVEC2,
-/// VEC1} on one machine — fanned out over all cores.  Size-major: the
-/// measurement for (kVectorSizes[si], core::kSweepOptLevels[oi]) is at
-/// index si * std::size(core::kSweepOptLevels) + oi.
-inline std::vector<core::Measurement> run_paper_grid(
-    const core::Experiment& ex, const sim::MachineConfig& machine,
-    miniapp::MiniAppConfig cfg) {
-  return ex.sweep_grid(machine, cfg, kVectorSizes, core::kSweepOptLevels,
-                       sweep_jobs());
 }
 
 /// Parallel kVectorSizes sweep at a fixed optimization level.

@@ -213,15 +213,17 @@ struct ShardedCg::Space {
 
   /// One BSP epoch: fn(shard, vpu) on every shard in parallel inside the
   /// solve phase, then the slowest shard's cycle delta joins the makespan.
+  /// Shards are independent, so at most one OS thread per core runs them
+  /// (jobs 0): a shard count above the core count, or above the strip
+  /// count (empty shards), must not start one thread per shard.
   template <class Fn>
   void epoch(Fn&& fn) {
     std::vector<Shard>& shards = cg.shards_;
-    core::parallel_for_index(
-        shards.size(), static_cast<int>(shards.size()), [&](std::size_t p) {
-          sim::Vpu& vpu = *shards[p].vpu;
-          sim::ScopedPhase scope(vpu.profiler(), cg.phase_);
-          fn(shards[p], vpu);
-        });
+    core::parallel_for_index(shards.size(), 0, [&](std::size_t p) {
+      sim::Vpu& vpu = *shards[p].vpu;
+      sim::ScopedPhase scope(vpu.profiler(), cg.phase_);
+      fn(shards[p], vpu);
+    });
     double mx = 0.0;
     for (std::size_t p = 0; p < shards.size(); ++p) {
       const double now = shards[p].vpu->counters().total_cycles();

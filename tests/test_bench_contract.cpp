@@ -131,6 +131,29 @@ TEST(BenchContract, StringMetricValueIsCorruptNotANestedBench) {
   fs::remove(path);
 }
 
+TEST(BenchContract, NonFiniteBaselineValueIsCorrupt) {
+  // A NaN baseline compares false against any measurement, so the drift
+  // test `|measured - baseline| > bound` could never fire on it: a
+  // baseline metric set to "nan" used to pass --check with exit 0.  It
+  // must be an exit-2 corrupt-baseline error naming the line, before any
+  // measurement runs.
+  for (const std::string bad : {"nan", "inf", "-inf"}) {
+    const fs::path path = write_temp(
+        "vecfd_nonfinite_baseline.json",
+        "{\n  \"schema\": \"vecfd-bench-v1\",\n  \"benches\": {\n"
+        "    \"b\": {\n      \"ph9_speedup_vs256\": " + bad +
+            "\n    }\n  }\n}\n");
+    const RunResult r = run_check(path.string());
+    EXPECT_EQ(r.exit_code, 2) << bad;
+    EXPECT_NE(r.stderr_text.find("\"ph9_speedup_vs256\": " + bad),
+              std::string::npos)
+        << "stderr must name the offending line:\n"
+        << r.stderr_text;
+    EXPECT_LT(r.seconds, 2.0) << "validation must precede measurement";
+    fs::remove(path);
+  }
+}
+
 TEST(BenchContract, BadToleranceExitsTwoNamingTheFlag) {
   // --tolerance must reject non-numeric, trailing-junk and negative
   // values with the exit-2 usage contract, naming the flag — before any

@@ -1,10 +1,20 @@
 // Integration tests asserting the paper-shape invariants end to end on a
 // reduced mesh (960 elements, divisible by 16/32/48/240 for clean sweeps).
-// These are the claims of §4/§5 at small scale; the bench binaries
-// reproduce them at full scale.
+// These are the claims of §4/§5 at small scale.  At full scale the
+// paper_scorecard binary measures them against the published values, and
+// the bench_baseline ctest pins its numbers (BENCH_PR5.json); this suite
+// also checks the scorecard's row table itself.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
+#include <cmath>
+#include <set>
+#include <string>
+#include <vector>
+
 #include "core/experiment.h"
+#include "paper_scorecard.h"
 #include "trace/vehave_trace.h"
 
 namespace {
@@ -209,6 +219,45 @@ TEST(PaperShape, PortabilityNoRegressionOnOtherPlatforms) {
     const double opt =
         ex.run(machine, cfg_of(OptLevel::kVec1, 240)).total_cycles;
     EXPECT_LE(opt, vanilla * 1.01) << machine.name;
+  }
+}
+
+TEST(PaperScorecard, CoversEveryFigureAndTable) {
+  // The static row table alone, no measurement: every artifact of the
+  // evaluation has a claim, every row's baseline key is unique and a bare
+  // word bench_to_json's line reader round-trips, and every value row
+  // quotes a finite, non-zero published number to take the error against.
+  using vecfd::bench::scorecard::kRows;
+  using vecfd::bench::scorecard::Row;
+  std::vector<std::string> artifacts;
+  for (int f = 2; f <= 13; ++f) artifacts.push_back("Fig " + std::to_string(f));
+  for (int t = 3; t <= 6; ++t) {
+    artifacts.push_back("Table " + std::to_string(t));
+  }
+  for (const std::string& a : artifacts) {
+    EXPECT_TRUE(std::any_of(std::begin(kRows), std::end(kRows),
+                            [&](const Row& r) { return a == r.source; }))
+        << a << " has no scorecard row";
+  }
+  std::set<std::string> keys;
+  std::set<std::string> claims;
+  for (const Row& r : kRows) {
+    EXPECT_NE(std::find(artifacts.begin(), artifacts.end(), r.source),
+              artifacts.end())
+        << r.key << ": unknown source '" << r.source << "'";
+    EXPECT_TRUE(keys.insert(r.key).second) << "duplicate key " << r.key;
+    EXPECT_TRUE(claims.insert(r.claim).second) << "duplicate claim "
+                                               << r.claim;
+    const std::string key = r.key;
+    EXPECT_FALSE(key.empty());
+    EXPECT_TRUE(std::all_of(key.begin(), key.end(), [](unsigned char c) {
+      return std::islower(c) || std::isdigit(c) || c == '_';
+    })) << "key '" << key << "' is not a bare [a-z0-9_] word";
+    EXPECT_NE(r.model, nullptr) << r.key;
+    if (r.kind == Row::kValue) {
+      EXPECT_TRUE(std::isfinite(r.published) && r.published != 0.0)
+          << r.key << ": published value " << r.published;
+    }
   }
 }
 

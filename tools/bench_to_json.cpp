@@ -2,9 +2,10 @@
 //
 // Runs the measurement cores of bench/multirhs_speedup,
 // bench/spmv_format_sweep, bench/precond_ladder and bench/shard_scaling
-// (helpers shared in bench/bench_metrics.h) on a FIXED workload —
-// independent of VECFD_BENCH_SMALL, so the checked-in baseline and any CI
-// run measure the same thing — and serializes the scalar metrics as JSON:
+// (helpers shared in bench/bench_metrics.h) and every row of the paper
+// scorecard (bench/paper_scorecard.h) on a FIXED workload — independent
+// of VECFD_BENCH_SMALL, so the checked-in baseline and any CI run measure
+// the same thing — and serializes the scalar metrics as JSON:
 //
 //   { "schema": "vecfd-bench-v1",
 //     "benches": { "<bench>": { "<metric>": <number>, ... }, ... } }
@@ -41,6 +42,7 @@
 #include <string>
 
 #include "bench_metrics.h"
+#include "paper_scorecard.h"
 #include "fem/mesh.h"
 #include "miniapp/scenarios.h"
 #include "miniapp/time_loop.h"
@@ -213,6 +215,15 @@ Metrics measure_shard_scaling() {
   return m;
 }
 
+/// The paper scorecard: every row's modelled value, shape verdicts as 1/0,
+/// so any move of a modelled paper number is drift.
+Metrics measure_paper_scorecard() {
+  const bench::scorecard::Evidence e = bench::scorecard::measure();
+  Metrics m;
+  for (const auto& row : bench::scorecard::kRows) m[row.key] = row.model(e);
+  return m;
+}
+
 /// --counters-out: every registered counter of one fixed tiny transient
 /// run, emitted in registry order straight from Counters::visit().  The
 /// metric set IS the registry — there is no list here to forget to extend.
@@ -286,7 +297,9 @@ struct Baseline {
 /// value is "{" — a "key": value line whose value fails to parse as a
 /// number is a corrupt baseline (parse_error), never silently treated as
 /// an opener (that bug used to swallow every later metric into a
-/// phantom bench and report them all MISSING).
+/// phantom bench and report them all MISSING).  A non-finite value
+/// ("nan", "inf") is corrupt too: no measurement could be checked
+/// against it.
 std::optional<Baseline> read_json(const std::string& path) {
   std::ifstream is(path);
   if (!is) return std::nullopt;
@@ -317,6 +330,10 @@ std::optional<Baseline> read_json(const std::string& path) {
     const double v = std::strtod(rest.c_str(), &end);
     if (end == rest.c_str()) {
       baseline.parse_error = "unparseable metric value in line: " + line;
+      return baseline;
+    }
+    if (!std::isfinite(v)) {
+      baseline.parse_error = "non-finite metric value in line: " + line;
       return baseline;
     }
     baseline.report[bench][key] = v;
@@ -364,7 +381,8 @@ int check(const Report& got, const Report& want, double tolerance) {
         continue;
       }
       const double g = bi->second.at(key);
-      if (std::abs(g - w) > tolerance * (1.0 + std::abs(w))) {
+      // Written so that a NaN on either side is drift, never a pass.
+      if (!(std::abs(g - w) <= tolerance * (1.0 + std::abs(w)))) {
         std::cerr << "DRIFT    " << bench << '.' << key << ": baseline "
                   << w << ", measured " << g << '\n';
         ++bad;
@@ -461,6 +479,7 @@ int main(int argc, char** argv) {
 
   Report report;
   report["multirhs_speedup"] = measure_multirhs();
+  report["paper_scorecard"] = measure_paper_scorecard();
   report["spmv_format_sweep"] = measure_format_sweep();
   report["precond_ladder"] = measure_precond_ladder();
   report["shard_scaling"] = measure_shard_scaling();
