@@ -7,10 +7,12 @@
 // The reading mirrors the assembly study: the solve stage dominates the
 // per-step cycle budget once the loop is transient, its AVL tracks
 // min(VECTOR_SIZE, vlmax) — so long-vector occupancy in the SOLVE phases,
-// not assembly, is where the co-design case is won at scale.
+// not assembly, is where the co-design case is won at scale.  The
+// blocked-momentum and sparse-format studies of the same loop are the
+// multirhs_speedup and spmv_format_sweep sections of BENCH_PR5.json
+// (tools/bench_to_json).
 #include "bench_common.h"
 
-#include "bench_metrics.h"
 #include "core/campaign.h"
 #include "core/csv.h"
 
@@ -71,86 +73,5 @@ int main() {
                "dominates the cycle budget, and its AVL saturates at "
                "min(VECTOR_SIZE, vlmax) — the transient loop is where long "
                "vectors pay off.\n";
-
-  // ---- blocked vs per-component momentum: operator-slab traffic --------
-  // The campaign above runs the (default) blocked multi-RHS phase 9; the
-  // per-component reference quantifies what the fusion buys.  Slab loads
-  // from the per-phase counters alone: in the per-component path every
-  // gather pairs with one value + one index slab load (slab = 2×indexed),
-  // and the paths are instruction-identical outside the shared slabs, so
-  // slab_blocked = slab_pc − Δ(unit loads).  See bench/multirhs_speedup
-  // for the deeper per-VECTOR_SIZE study.
-  std::cout << "\nblocked multi-RHS phase 9 vs per-component (scenario "
-            << camp.scenarios()[0].name << ", riscv-vec):\n\n";
-  std::vector<core::CampaignPoint> cmp_points;
-  for (int vs : bench::kVectorSizes) {
-    core::CampaignPoint p;
-    p.scenario = 0;
-    p.machine = platforms::riscv_vec();
-    p.vector_size = vs;
-    p.steps = steps;
-    for (const bool blocked : {true, false}) {
-      p.blocked_momentum = blocked;
-      cmp_points.push_back(p);
-    }
-  }
-  const auto cmp_runs = camp.run_points(cmp_points, bench::sweep_jobs());
-  core::Table ct({"VS", "ph9 slab loads", "blocked slabs", "slab redux",
-                  "ph9 AVL", "ph9 Ev", "ph9 speedup"});
-  for (std::size_t i = 0; i + 1 < cmp_runs.size(); i += 2) {
-    const auto& blk = cmp_runs[i].loop.phase[miniapp::kSolvePhase];
-    const auto& pc = cmp_runs[i + 1].loop.phase[miniapp::kSolvePhase];
-    if (blk.vmem_indexed_instrs != pc.vmem_indexed_instrs) {
-      // the Δunit identity needs per-column-identical paths
-      std::cout << "VS " << cmp_runs[i].point.vector_size
-                << ": paths diverged (gathers differ) — slab accounting "
-                   "skipped\n";
-      continue;
-    }
-    const double slab_pc = 2.0 * static_cast<double>(pc.vmem_indexed_instrs);
-    const double slab_blk =
-        slab_pc - (static_cast<double>(pc.vmem_unit_instrs) -
-                   static_cast<double>(blk.vmem_unit_instrs));
-    const auto& m9 = cmp_runs[i].phase_metrics[miniapp::kSolvePhase];
-    ct.add_row({std::to_string(cmp_runs[i].point.vector_size),
-                core::fmt(slab_pc, 0), core::fmt(slab_blk, 0),
-                core::fmt(slab_pc / slab_blk, 2) + "x", core::fmt(m9.avl, 1),
-                core::fmt_pct(m9.ev),
-                core::fmt(pc.total_cycles() / blk.total_cycles(), 2) + "x"});
-  }
-  std::cout << ct.to_string();
-
-  // ---- sparse-format co-design summary (DESIGN.md §6) ------------------
-  // The campaign above runs the (default) padded-ELL mirror; the format
-  // knob trades gather traffic at bit-identical residual histories.  The
-  // strip must stay well below the node count so the operator splits into
-  // several SELL slices (one whole-matrix slice makes every format the
-  // same layout); the shuffled-numbering study where RCM earns its keep
-  // is bench/spmv_format_sweep.
-  const int vs_fmt = bench::small_run() ? 16 : 64;
-  std::cout << "\nsparse formats on scenario " << camp.scenarios()[0].name
-            << " (riscv-vec, VS " << vs_fmt << ", blocked phase 9):\n\n";
-  core::Table ft({"format", "solve cyc/it", "gl/it", "pad frac",
-                  "coalesced", "ph9 AVL"});
-  for (const auto& fc : bench::kFormatCases) {
-    const auto st = bench::run_transient_point(
-        camp.mesh(0), camp.scenarios()[0], platforms::riscv_vec(),
-        {.steps = steps, .vector_size = vs_fmt, .format = fc.format,
-         .rcm_renumber = fc.rcm},
-        /*spinup=*/false);
-    ft.add_row({fc.name,
-                core::fmt(st.solve_iterations() > 0
-                              ? st.solve_cycles() / st.solve_iterations()
-                              : 0.0,
-                          0),
-                core::fmt(st.gather_lines_per_iteration(), 0),
-                core::fmt_pct(st.pad_fraction()),
-                std::to_string(st.coalesced_lanes),
-                core::fmt(st.avl, 1)});
-  }
-  std::cout << ft.to_string();
-  std::cout << "\nformats trade counters, never numerics: the residual "
-               "histories behind every row above are bit-identical "
-               "(test_format_equivalence).\n";
   return 0;
 }

@@ -19,7 +19,8 @@ namespace {
 
 /// Deflation coarse space: lattice blocks of 2³ nodes.  Small blocks keep
 /// the coarse space rich enough that the pressure iteration count levels
-/// off under refinement (the property bench/precond_ladder gates on).
+/// off under refinement (the property the precond_ladder section of
+/// tools/bench_to_json gates on).
 constexpr int kDeflationAggregateFactor = 2;
 
 /// Turn row r of @p a into the identity row for every fixed node: the

@@ -16,8 +16,9 @@
 //          warm-started from uⁿ (DESIGN.md §5).  Per-column results are
 //          bit-for-bit those of the sequential per-component path, which
 //          TimeLoopConfig::blocked_momentum = false runs as the same code
-//          one component at a time (the 9a–9c reference
-//          bench/multirhs_speedup compares against)
+//          one component at a time (the 9a–9c reference the
+//          multirhs_speedup section of tools/bench_to_json compares
+//          against)
 //   [10]   pressure-Poisson CG:  L φ = −(ρ/Δt)·D u*  on the SPD stiffness
 //          operator of fem/projection.h (vcg, pinned per the scenario)
 //   [11]   BLAS-1 velocity correction  uⁿ⁺¹_d = u*_d − (Δt/ρ)·M_L⁻¹(Ĝφ)_d
@@ -69,7 +70,8 @@ struct TimeLoopConfig {
   /// one component at a time, the sequential per-component solves 9a–9c
   /// (k = 1 blocks).  Both produce bit-identical fields and
   /// per-component reports — the flag exists for the co-design comparison
-  /// (bench/multirhs_speedup) and equivalence tests.
+  /// (the multirhs_speedup section of tools/bench_to_json) and
+  /// equivalence tests.
   bool blocked_momentum = true;
   /// Operator storage format of every instrumented SpMV (the phase-9 RHS
   /// formation and the momentum/pressure Krylov solves; DESIGN.md §6).
@@ -147,9 +149,10 @@ struct TimeLoopResult {
   double cycles = 0.0;
   /// Critical-path cycles of the phase-10 pressure solves: the BSP
   /// makespan of ShardedCg when the sharded path ran, otherwise the
-  /// phase-10 serial cycle total.  THE strong-scaling metric of
-  /// bench/shard_scaling; cycles/total keep counting ALL work (shard
-  /// counters are aggregated in), so conservation still holds.
+  /// phase-10 serial cycle total.  THE strong-scaling metric of the
+  /// shard_scaling section of tools/bench_to_json; cycles/total keep
+  /// counting ALL work (shard counters are aggregated in), so
+  /// conservation still holds.
   double pressure_makespan_cycles = 0.0;
 };
 

@@ -9,8 +9,7 @@
 // The counter set is a REGISTRY: the VECFD_COUNTERS X-macro below is the
 // single source of truth for every counter, and everything that must stay
 // in sync with it — operator+=/operator-=, the per-counter CSV columns
-// (core/csv.cpp), the registry emission of tools/bench_to_json
-// (--counters-out), and the field-by-field conservation comparison in
+// (core/csv.cpp) and the field-by-field conservation comparison in
 // tests/test_time_loop_conservation.cpp — is generated from it, either by
 // expanding the macro directly or through the visit()/visit_fields()/
 // visit_pairs() visitors.  Adding a counter is ONE line here; a consumer

@@ -36,7 +36,8 @@ constexpr const char* to_string(PrecondKind k) {
 bool precond_from_string(std::string_view name, PrecondKind& out);
 
 /// Knobs for the non-trivial rungs.  Defaults are the studied operating
-/// point (bench/precond_ladder); all of them are deterministic.
+/// point (the precond_ladder section of tools/bench_to_json); all of them
+/// are deterministic.
 struct PrecondOptions {
   PrecondKind kind = PrecondKind::kJacobi;
 

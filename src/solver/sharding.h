@@ -41,8 +41,8 @@
 // Cost model: shard Vpus price the distributed compute; the coordinator
 // Vpu prices the serial reduction folds; HaloExchange prices communication
 // volume in cache lines.  The BSP makespan (max shard delta per parallel
-// epoch + all coordinator cycles) is the strong-scaling metric
-// bench/shard_scaling gates.
+// epoch + all coordinator cycles) is the strong-scaling metric the
+// shard_scaling section of tools/bench_to_json gates.
 #pragma once
 
 #include <memory>

@@ -4,7 +4,8 @@
 //     pressure Laplacian (the property that keeps plain CG valid);
 //   * rungs order monotonically on refined cavity meshes — deflate ≤
 //     cheby ≤ jacobi pressure iterations, with the two-level rung's count
-//     levelling off where Jacobi's grows;
+//     levelling off where Jacobi's grows — and every rung's residual
+//     history is bit-identical across csr-host / ell / sell there;
 //   * the SolveReport residual/history contract of krylov.h holds per
 //     rung on EVERY exit path — convergence, budget exhaustion, zero RHS,
 //     breakdown, and the failure exit a zero operator diagonal takes;
@@ -176,7 +177,10 @@ TEST(PrecondLadder, EveryRungIsSymmetricPositiveDefinite) {
 TEST(PrecondLadder, RungsOrderMonotonicallyUnderRefinement) {
   // deflate <= cheby <= jacobi at every refinement, and the two-level
   // rung's count must level off where Jacobi's grows (the κ-capping
-  // property bench/precond_ladder quantifies on the finest mesh).
+  // property the precond_ladder section of BENCH_PR5.json gates).  Every
+  // rung's residual history and iterate are bit-identical across the
+  // SpMV formats: all rung arithmetic flows through the mirrored operator
+  // apply and format-independent kernels.
   int prev_jacobi = 0;
   int prev_deflate = 0;
   for (const int nref : {6, 8}) {
@@ -197,6 +201,19 @@ TEST(PrecondLadder, RungsOrderMonotonicallyUnderRefinement) {
       expect_contract(rep, a, b, x, opts,
                       std::string(to_string(kRungs[k])) + " converged");
       iters[k] = rep.iterations;
+      for (const auto format :
+           {solver::SpmvFormat::kCsrHost, solver::SpmvFormat::kSell}) {
+        sim::Vpu fvpu(platforms::riscv_vec());
+        std::vector<double> fx(static_cast<std::size_t>(n), 0.0);
+        const auto frep =
+            solver::vcg(fvpu, a, b, fx, opts, 240, nullptr, format);
+        // bitwise, via double ==
+        EXPECT_EQ(frep.history, rep.history)
+            << to_string(kRungs[k]) << " at " << nref << "^3 in "
+            << to_string(format) << " vs ell";
+        EXPECT_EQ(fx, x) << to_string(kRungs[k]) << " at " << nref
+                         << "^3 in " << to_string(format) << " vs ell";
+      }
     }
     EXPECT_LE(iters[2], iters[1]) << nref << "^3: deflate vs cheby";
     EXPECT_LE(iters[1], iters[0]) << nref << "^3: cheby vs jacobi";

@@ -1,218 +1,391 @@
 // bench_to_json — perf-trajectory baseline emitter.
 //
-// Runs the measurement cores of bench/multirhs_speedup,
-// bench/spmv_format_sweep, bench/precond_ladder and bench/shard_scaling
-// (helpers shared in bench/bench_metrics.h) and every row of the paper
-// scorecard (bench/paper_scorecard.h) on a FIXED workload — independent
-// of VECFD_BENCH_SMALL, so the checked-in baseline and any CI run measure
-// the same thing — and serializes the scalar metrics as JSON:
+// Measures the four co-design studies — blocked multi-RHS momentum
+// (DESIGN.md §5), SpMV formats (§6), the pressure preconditioner ladder
+// (§8) and sharding (§9) — and every row of the paper scorecard
+// (bench/paper_scorecard.h) on a FIXED workload, independent of
+// VECFD_BENCH_SMALL, so the checked-in baseline and any CI run measure the
+// same thing.  The scalar metrics are serialized as JSON:
 //
 //   { "schema": "vecfd-bench-v1",
 //     "benches": { "<bench>": { "<metric>": <number>, ... }, ... } }
 //
+// Each study section lists its transient points on a Study and returns the
+// reduction that turns their TimeLoopResults into metrics; all study points
+// run in one parallel_for_index fan-out, and a point two sections list runs
+// once.  A `gate_*` key is one acceptance claim of its study as 1/0;
+// test_bench_contract requires every one of them to be 1 in BENCH_PR5.json.
+//
 // Modes:
-//   bench_to_json --out FILE          write the baseline (the PR workflow:
-//                                     regenerate, review the diff, commit)
-//   bench_to_json --check FILE        re-measure and compare against FILE
-//                                     within --tolerance (default 1e-6
-//                                     relative); exit 1 on drift or missing
-//                                     metrics — the CI guard that keeps
-//                                     BENCH_PR5.json honest
-//   bench_to_json --counters-out FILE dump every sim::Counters registry
-//                                     counter of a fixed tiny transient run
-//                                     ("vecfd-counters-v1").  Generated from
-//                                     the VECFD_COUNTERS X-macro via
-//                                     Counters::visit(), so a counter added
-//                                     to the registry lands here with no
-//                                     wiring — and a hand-kept metric list
-//                                     here is a vecfd-lint counter-registry
-//                                     finding.
+//   bench_to_json --out FILE    write the baseline (the PR workflow:
+//                               regenerate, review the diff, commit)
+//   bench_to_json --check FILE  re-measure and compare against FILE within
+//                               kTolerance; exit 1 on drift or missing
+//                               metrics — the tier-1 bench_baseline ctest
+//                               that keeps BENCH_PR5.json honest
 //
 // The simulation is deterministic, so drift beyond last-ulp accumulation
 // differences between compilers means a real perf change: regenerate the
 // baseline in the same PR and let the reviewer see the trajectory.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <map>
+#include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
+#include <vector>
 
-#include "bench_metrics.h"
-#include "paper_scorecard.h"
+#include "core/parallel.h"
 #include "fem/mesh.h"
+#include "metrics/metrics.h"
+#include "miniapp/checkpoint.h"
 #include "miniapp/scenarios.h"
 #include "miniapp/time_loop.h"
+#include "paper_scorecard.h"
 #include "platforms/platforms.h"
 #include "sim/counters.h"
+#include "sim/vpu.h"
 
 namespace {
 
 using namespace vecfd;
+using miniapp::TimeLoopResult;
 using Metrics = std::map<std::string, double>;
 using Report = std::map<std::string, Metrics>;
 
-/// multirhs_speedup core: blocked vs per-component momentum solve on the
-/// cavity flow, worst slab reduction / AVL drift over the studied sizes.
-Metrics measure_multirhs() {
-  miniapp::Scenario scen = miniapp::scenario_cavity();
-  scen.mesh = {.nx = 6, .ny = 6, .nz = 6};
-  const fem::Mesh mesh(scen.mesh);
-  const int steps = 2;
-  Metrics m;
-  double worst_redux = 1e30;
-  double worst_avl_drift = 0.0;
-  for (const int vs : {64, 256}) {
-    const auto pc = bench::run_transient_point(
-        mesh, scen, platforms::riscv_vec(),
-        {.steps = steps, .vector_size = vs, .blocked_momentum = false},
-        /*spinup=*/true);
-    const auto blk = bench::run_transient_point(
-        mesh, scen, platforms::riscv_vec(),
-        {.steps = steps, .vector_size = vs}, /*spinup=*/true);
-    // the same slab-accounting identity bench/multirhs_speedup prints
-    const bench::SlabComparison cmp = bench::compare_slab_traffic(pc, blk);
-    if (!cmp.valid) {
-      std::cerr << "multirhs paths diverged at VS=" << vs
-                << " — slab accounting invalid\n";
-      std::exit(1);
+/// Relative drift --check tolerates on every metric: room for last-ulp
+/// accumulation differences between compilers, none for a model change.
+constexpr double kTolerance = 1e-6;
+
+/// The transient points of every study section, measured in one
+/// parallel_for_index fan-out.  Every point runs the cavity scenario.
+class Study {
+ public:
+  /// Lists a point and returns its slot.  A point already listed (same
+  /// mesh, config, machine and spin-up) keeps its slot, so it runs once.
+  /// With @p spinup a first, unmeasured pass develops the flow, so every
+  /// momentum component has real work — the regime the multi-RHS
+  /// comparison must run in; run() resets the machine, so the second pass
+  /// is an independent measurement of a developed flow.
+  std::size_t add(const std::shared_ptr<const fem::Mesh>& mesh,
+                  const sim::MachineConfig& machine,
+                  const miniapp::TimeLoopConfig& cfg, bool spinup = false) {
+    const std::uint64_t hash =
+        miniapp::timeloop_config_hash("cavity", *mesh, cfg, machine);
+    for (std::size_t i = 0; i < points_.size(); ++i) {
+      if (points_[i].hash == hash && points_[i].spinup == spinup) return i;
     }
-    worst_redux = std::min(worst_redux, cmp.redux);
-    worst_avl_drift = std::max(worst_avl_drift, cmp.avl_drift);
-    const std::string tag = "vs" + std::to_string(vs);
-    m["slab_redux_" + tag] = cmp.redux;
-    // JSON metric key for the fixed phase-9 speedup headline, not a CSV
-    // schema column:
-    // vecfd-lint: allow(csv-phase-literal) fixed headline key, not a schema
-    m["ph9_speedup_" + tag] =
-        blk.cycles > 0.0 ? pc.cycles / blk.cycles : 0.0;
+    points_.push_back({mesh, machine, cfg, spinup, hash});
+    return points_.size() - 1;
   }
-  m["worst_slab_redux"] = worst_redux;
-  m["worst_avl_drift"] = worst_avl_drift;
-  return m;
+
+  void run() {
+    results_.resize(points_.size());
+    core::parallel_for_index(points_.size(), 0, [&](std::size_t i) {
+      const Point& p = points_[i];
+      miniapp::Scenario scen = miniapp::scenario_cavity();
+      scen.mesh = p.mesh->config();
+      miniapp::TimeLoop loop(*p.mesh, scen, p.cfg);
+      sim::Vpu vpu(p.machine);
+      if (p.spinup) (void)loop.run(vpu);
+      results_[i] = loop.run(vpu);
+    });
+  }
+
+  const TimeLoopResult& operator[](std::size_t slot) const {
+    return results_[slot];
+  }
+
+ private:
+  struct Point {
+    std::shared_ptr<const fem::Mesh> mesh;
+    sim::MachineConfig machine;
+    miniapp::TimeLoopConfig cfg;
+    bool spinup;
+    std::uint64_t hash;
+  };
+  std::vector<Point> points_;
+  std::vector<TimeLoopResult> results_;
+};
+
+/// A study section's reduction, called once the fan-out has run.
+using Section = std::function<Metrics(const Study&)>;
+
+std::shared_ptr<const fem::Mesh> cavity_mesh(const fem::MeshConfig& mc) {
+  return std::make_shared<const fem::Mesh>(mc);
 }
 
-/// spmv_format_sweep core: ell vs sell(+rcm) on a shuffled-numbering
-/// cavity at VS 256 on the two long-vector platforms.
-Metrics measure_format_sweep() {
-  miniapp::Scenario scen = miniapp::scenario_cavity();
-  scen.mesh = {.nx = 10, .ny = 10, .nz = 10, .shuffle_nodes = true};
-  const fem::Mesh mesh(scen.mesh);
-  const int steps = 2;
+const sim::Counters& phase9(const TimeLoopResult& r) {
+  return r.phase[miniapp::kSolvePhase];
+}
+const sim::Counters& phase10(const TimeLoopResult& r) {
+  return r.phase[miniapp::kPressurePhase];
+}
+
+/// Σ momentum iterations over steps and components (phase 9).
+int momentum_iterations(const TimeLoopResult& r) {
+  int n = 0;
+  for (const auto& step : r.steps) {
+    for (const auto& rep : step.momentum) n += rep.iterations;
+  }
+  return n;
+}
+
+/// Σ pressure iterations over steps (phase 10).
+int pressure_iterations(const TimeLoopResult& r) {
+  int n = 0;
+  for (const auto& step : r.steps) n += step.pressure.iterations;
+  return n;
+}
+
+double gate(bool met) { return met ? 1.0 : 0.0; }
+
+/// Blocked vs per-component momentum solve on the cavity flow: operator
+/// slab loads, AVL and phase-9 cycles per VECTOR_SIZE.  Slab loads come
+/// from the phase-9 counters alone: in the per-component path every gather
+/// pairs with one value + one index slab load (slab = 2 × indexed), and
+/// the paths are per-column instruction-identical elsewhere, so the
+/// blocked count is slab − Δ(unit loads).  That identity only holds when
+/// the paths ran in lockstep (equal iteration and gather counts); a
+/// divergence exits 1.  Gates: the worst slab reduction is ≥ 2.5× and the
+/// AVL drifts by ≤ 2% — fusion must buy traffic, not occupancy.
+Section multirhs(Study& study) {
+  const auto mesh = cavity_mesh({.nx = 6, .ny = 6, .nz = 6});
+  struct Pair {
+    int vs;
+    std::size_t per_component, blocked;
+  };
+  std::vector<Pair> pairs;
+  for (const int vs : {64, 256}) {
+    pairs.push_back(
+        {vs,
+         study.add(mesh, platforms::riscv_vec(),
+                   {.steps = 2, .vector_size = vs, .blocked_momentum = false},
+                   /*spinup=*/true),
+         study.add(mesh, platforms::riscv_vec(),
+                   {.steps = 2, .vector_size = vs}, /*spinup=*/true)});
+  }
+  return [pairs](const Study& s) {
+    const int vlmax = platforms::riscv_vec().vlmax;
+    Metrics m;
+    double worst_redux = 1e30;
+    double worst_avl_drift = 0.0;
+    for (const Pair& p : pairs) {
+      const sim::Counters& pc = phase9(s[p.per_component]);
+      const sim::Counters& blk = phase9(s[p.blocked]);
+      if (momentum_iterations(s[p.per_component]) !=
+              momentum_iterations(s[p.blocked]) ||
+          pc.vmem_indexed_instrs != blk.vmem_indexed_instrs) {
+        std::cerr << "multirhs paths diverged at VS=" << p.vs
+                  << " — slab accounting invalid\n";
+        std::exit(1);
+      }
+      const double slab_pc = 2.0 * static_cast<double>(pc.vmem_indexed_instrs);
+      const double slab_blk =
+          slab_pc -
+          static_cast<double>(pc.vmem_unit_instrs - blk.vmem_unit_instrs);
+      const double redux = slab_blk > 0.0 ? slab_pc / slab_blk : 0.0;
+      const double avl_pc = metrics::compute(pc, vlmax).avl;
+      const double avl_blk = metrics::compute(blk, vlmax).avl;
+      worst_redux = std::min(worst_redux, redux);
+      worst_avl_drift = std::max(
+          worst_avl_drift,
+          avl_pc > 0.0 ? std::abs(avl_blk - avl_pc) / avl_pc : 0.0);
+      const std::string tag = "vs" + std::to_string(p.vs);
+      m["slab_redux_" + tag] = redux;
+      // JSON metric key for the fixed phase-9 speedup headline, not a CSV
+      // schema column:
+      // vecfd-lint: allow(csv-phase-literal) fixed headline key, not a schema
+      m["ph9_speedup_" + tag] = blk.total_cycles() > 0.0
+                                    ? pc.total_cycles() / blk.total_cycles()
+                                    : 0.0;
+    }
+    m["worst_slab_redux"] = worst_redux;
+    m["worst_avl_drift"] = worst_avl_drift;
+    m["gate_slab_redux"] = gate(worst_redux >= 2.5);
+    m["gate_avl_drift"] = gate(worst_avl_drift <= 0.02);
+    return m;
+  };
+}
+
+/// ELL vs SELL+RCM on a shuffled-numbering cavity at VECTOR_SIZE 256 on
+/// the two long-vector platforms, over the Krylov phases 9 and 10: cache
+/// lines gathered per iteration, solve cycles, pad and coalesced lanes.
+/// Residual histories are bit-identical across formats, so every ratio is
+/// a pure storage/traffic effect.  Gate: on at least one machine with
+/// vlmax ≥ 256, SELL+RCM gathers at most 0.7× ELL's lines per iteration
+/// in fewer solve cycles.
+Section format_sweep(Study& study) {
+  const auto mesh = cavity_mesh(
+      {.nx = 10, .ny = 10, .nz = 10, .shuffle_nodes = true});
   const int vs = 256;
-  Metrics m;
+  struct Pair {
+    sim::MachineConfig machine;
+    std::size_t ell, sell_rcm;
+  };
+  std::vector<Pair> pairs;
   for (const auto& machine :
        {platforms::riscv_vec(), platforms::sx_aurora()}) {
-    const auto ell = bench::run_transient_point(
-        mesh, scen, machine, {.steps = steps, .vector_size = vs},
-        /*spinup=*/false);
-    const auto sell_rcm = bench::run_transient_point(
-        mesh, scen, machine,
-        {.steps = steps, .vector_size = vs,
-         .format = solver::SpmvFormat::kSell, .rcm_renumber = true},
-        /*spinup=*/false);
-    const std::string tag = machine.name;
-    m["gather_line_redux_" + tag] =
-        ell.gather_lines_per_iteration() > 0.0
-            ? sell_rcm.gather_lines_per_iteration() /
-                  ell.gather_lines_per_iteration()
-            : 0.0;
-    m["solve_cycle_ratio_" + tag] =
-        ell.solve_cycles() > 0.0
-            ? sell_rcm.solve_cycles() / ell.solve_cycles()
-            : 0.0;
-    m["ell_pad_fraction_" + tag] = ell.pad_fraction();
-    m["sell_rcm_pad_fraction_" + tag] = sell_rcm.pad_fraction();
-    m["sell_rcm_coalesced_lanes_" + tag] =
-        // vecfd-lint: allow(counter-registry) SolveStats field, not Counters
-        static_cast<double>(sell_rcm.coalesced_lanes);
+    pairs.push_back(
+        {machine,
+         study.add(mesh, machine, {.steps = 2, .vector_size = vs}),
+         study.add(mesh, machine,
+                   {.steps = 2, .vector_size = vs,
+                    .format = solver::SpmvFormat::kSell,
+                    .rcm_renumber = true})});
   }
-  return m;
+  // Phases 9 and 10 summed (integer counters, so the sum is exact).
+  const auto solve = [](const TimeLoopResult& r) {
+    sim::Counters c = phase9(r);
+    c += phase10(r);
+    return c;
+  };
+  const auto lines_per_iteration = [solve](const TimeLoopResult& r) {
+    const int it = momentum_iterations(r) + pressure_iterations(r);
+    return it > 0 ? static_cast<double>(solve(r).gather_lines_touched) / it
+                  : 0.0;
+  };
+  const auto cycles = [](const TimeLoopResult& r) {
+    return phase9(r).total_cycles() + phase10(r).total_cycles();
+  };
+  const auto pad_fraction = [solve](const TimeLoopResult& r) {
+    const sim::Counters c = solve(r);
+    const double lanes = static_cast<double>(
+        c.gather_lanes + c.pad_lanes + c.coalesced_lanes);
+    return lanes > 0.0 ? static_cast<double>(c.pad_lanes) / lanes : 0.0;
+  };
+  return [=](const Study& s) {
+    Metrics m;
+    bool sell_rcm_wins = false;
+    for (const Pair& p : pairs) {
+      const TimeLoopResult& ell = s[p.ell];
+      const TimeLoopResult& sell = s[p.sell_rcm];
+      const double line_redux =
+          lines_per_iteration(ell) > 0.0
+              ? lines_per_iteration(sell) / lines_per_iteration(ell)
+              : 0.0;
+      const double cycle_ratio =
+          cycles(ell) > 0.0 ? cycles(sell) / cycles(ell) : 0.0;
+      const std::string& tag = p.machine.name;
+      m["gather_line_redux_" + tag] = line_redux;
+      m["solve_cycle_ratio_" + tag] = cycle_ratio;
+      m["ell_pad_fraction_" + tag] = pad_fraction(ell);
+      m["sell_rcm_pad_fraction_" + tag] = pad_fraction(sell);
+      m["sell_rcm_coalesced_lanes_" + tag] =
+          static_cast<double>(solve(sell).coalesced_lanes);
+      sell_rcm_wins = sell_rcm_wins ||
+                      (p.machine.vlmax >= vs && line_redux <= 0.7 &&
+                       cycle_ratio < 1.0);
+    }
+    m["gate_sell_rcm_beats_ell"] = gate(sell_rcm_wins);
+    return m;
+  };
 }
 
-/// precond_ladder core: the three rungs of the pressure preconditioner
-/// ladder (DESIGN.md §8) on a fixed 8^3 cavity — pressure iterations and
-/// phase-10 cycles per rung plus the Jacobi-relative iteration reductions
-/// the bench gates on.
-Metrics measure_precond_ladder() {
-  miniapp::Scenario scen = miniapp::scenario_cavity();
-  scen.mesh = {.nx = 8, .ny = 8, .nz = 8};
-  const fem::Mesh mesh(scen.mesh);
-  const int steps = 2;
-  const int vs = 240;
-  Metrics m;
-  double jacobi_iters = 0.0;
+/// The three rungs of the pressure preconditioner ladder on a fixed 8³
+/// cavity: pressure iterations and phase-10 cycles per rung, plus the
+/// Jacobi-relative iteration reductions.  Gates: deflation needs at most
+/// half the Jacobi iterations, and the rungs order deflate ≤ cheby ≤
+/// jacobi.
+Section precond_ladder(Study& study) {
+  const auto mesh = cavity_mesh({.nx = 8, .ny = 8, .nz = 8});
+  std::vector<std::pair<solver::PrecondKind, std::size_t>> rungs;
   for (const auto kind :
        {solver::PrecondKind::kJacobi, solver::PrecondKind::kCheby,
         solver::PrecondKind::kDeflate}) {
-    const auto st = bench::run_transient_point(
-        mesh, scen, platforms::riscv_vec(),
-        {.steps = steps, .vector_size = vs, .precond = kind},
-        /*spinup=*/false);
-    const std::string tag = solver::to_string(kind);
-    m["pressure_iters_" + tag] = st.pressure_iterations;
-    m["pressure_cycles_" + tag] = st.cycles_p10;
-    if (kind == solver::PrecondKind::kJacobi) {
-      jacobi_iters = st.pressure_iterations;
-    } else if (jacobi_iters > 0.0) {
-      m["iter_redux_" + tag] = st.pressure_iterations / jacobi_iters;
-    }
+    rungs.emplace_back(
+        kind, study.add(mesh, platforms::riscv_vec(),
+                        {.steps = 2, .vector_size = 240, .precond = kind}));
   }
-  return m;
+  return [rungs](const Study& s) {
+    Metrics m;
+    double jacobi_iters = 0.0;
+    for (const auto& [kind, slot] : rungs) {
+      const int iters = pressure_iterations(s[slot]);
+      const std::string tag = solver::to_string(kind);
+      m["pressure_iters_" + tag] = iters;
+      m["pressure_cycles_" + tag] = phase10(s[slot]).total_cycles();
+      if (kind == solver::PrecondKind::kJacobi) {
+        jacobi_iters = iters;
+      } else if (jacobi_iters > 0.0) {
+        m["iter_redux_" + tag] = iters / jacobi_iters;
+      }
+    }
+    const double jacobi = m.at("pressure_iters_jacobi");
+    const double cheby = m.at("pressure_iters_cheby");
+    const double deflate = m.at("pressure_iters_deflate");
+    m["gate_deflate_halves_jacobi"] = gate(2.0 * deflate <= jacobi);
+    m["gate_rungs_ordered"] = gate(deflate <= cheby && cheby <= jacobi);
+    return m;
+  };
 }
 
-/// shard_scaling core (DESIGN.md §9): the domain-decomposed pressure solve
-/// on a fixed 8^3 cavity — BSP makespan and halo volume vs shard count,
-/// plus the surface-to-volume ratio under refinement at fixed P.  The
-/// pressure iteration counts are emitted per P so the baseline itself
-/// documents the P-independence contract (they must all be equal).
-Metrics measure_shard_scaling() {
-  miniapp::Scenario scen = miniapp::scenario_cavity();
-  scen.mesh = {.nx = 8, .ny = 8, .nz = 8};
-  const fem::Mesh mesh(scen.mesh);
-  const int steps = 2;
-  const int vs = 240;
-  Metrics m;
-  double base_makespan = 0.0;
+/// The domain-decomposed pressure solve on a fixed 8³ cavity: BSP
+/// makespan, halo volume and pressure iterations per shard count P, plus
+/// the surface-to-volume ratio (halo lines over phase-10 gathered lines)
+/// under refinement at P = 4 — at a 64-strip quantum, so every subdomain
+/// is populated on both meshes.  Gates: pressure iterations do not depend
+/// on P (fields and histories are bit-identical, DESIGN.md §9), the P = 8
+/// makespan speed-up is ≥ 2, and the surface-to-volume ratio falls under
+/// refinement.
+Section shard_scaling(Study& study) {
+  const auto mesh = cavity_mesh({.nx = 8, .ny = 8, .nz = 8});
+  std::vector<std::pair<int, std::size_t>> strong;
   for (const int p : {1, 4, 8}) {
-    const auto st = bench::run_transient_point(
-        mesh, scen, platforms::riscv_vec(),
-        {.steps = steps, .vector_size = vs, .shards = p}, /*spinup=*/false);
-    char tagbuf[16];
-    std::snprintf(tagbuf, sizeof tagbuf, "p%d", p);
-    const std::string tag = tagbuf;
-    m["makespan_" + tag] = st.pressure_makespan;
-    m["halo_lines_" + tag] = static_cast<double>(st.halo_lines);
-    m["pressure_iters_" + tag] = st.pressure_iterations;
-    if (p == 1) {
-      base_makespan = st.pressure_makespan;
-    } else if (st.pressure_makespan > 0.0) {
-      m["makespan_speedup_" + tag] = base_makespan / st.pressure_makespan;
-    }
-    if (p == 8) {
-      // vecfd-lint: allow(counter-registry) SolveStats field, not Counters
-      m["halo_messages_p8"] = static_cast<double>(st.halo_messages);
-    }
+    strong.emplace_back(
+        p, study.add(mesh, platforms::riscv_vec(),
+                     {.steps = 2, .vector_size = 240, .shards = p}));
   }
-  // Surface-to-volume under refinement, 4 shards at a 64-strip quantum
-  // (all subdomains populated on both meshes — see bench/shard_scaling).
+  std::vector<std::pair<int, std::size_t>> refined;
   for (const int nref : {6, 8}) {
-    scen.mesh = {.nx = nref, .ny = nref, .nz = nref};
-    const fem::Mesh rmesh(scen.mesh);
-    const auto st = bench::run_transient_point(
-        rmesh, scen, platforms::riscv_vec(),
-        {.steps = steps, .vector_size = 64, .shards = 4}, /*spinup=*/false);
-    const std::string rtag = std::to_string(nref);
-    m["s2v_ratio_" + rtag] =
-        st.p10_gather_lines > 0
-            ? static_cast<double>(st.halo_lines) /
-                  static_cast<double>(st.p10_gather_lines)
-            : 0.0;
+    refined.emplace_back(
+        nref,
+        study.add(cavity_mesh({.nx = nref, .ny = nref, .nz = nref}),
+                  platforms::riscv_vec(),
+                  {.steps = 2, .vector_size = 64, .shards = 4}));
   }
-  return m;
+  const auto halo_lines = [](const TimeLoopResult& r) {
+    return static_cast<double>(phase10(r).halo_lines_sent +
+                               phase10(r).halo_lines_recv);
+  };
+  return [=](const Study& s) {
+    Metrics m;
+    double base_makespan = 0.0;
+    for (const auto& [p, slot] : strong) {
+      const TimeLoopResult& r = s[slot];
+      const std::string tag = "p" + std::to_string(p);
+      m["makespan_" + tag] = r.pressure_makespan_cycles;
+      m["halo_lines_" + tag] = halo_lines(r);
+      m["pressure_iters_" + tag] = pressure_iterations(r);
+      if (p == 1) {
+        base_makespan = r.pressure_makespan_cycles;
+      } else if (r.pressure_makespan_cycles > 0.0) {
+        m["makespan_speedup_" + tag] =
+            base_makespan / r.pressure_makespan_cycles;
+      }
+      if (p == 8) {
+        m["halo_messages_p8"] =
+            static_cast<double>(phase10(r).halo_messages);
+      }
+    }
+    for (const auto& [nref, slot] : refined) {
+      const TimeLoopResult& r = s[slot];
+      const auto owned = phase10(r).gather_lines_touched;
+      m["s2v_ratio_" + std::to_string(nref)] =
+          owned > 0 ? halo_lines(r) / static_cast<double>(owned) : 0.0;
+    }
+    m["gate_iters_p_independent"] =
+        gate(m.at("pressure_iters_p1") == m.at("pressure_iters_p4") &&
+             m.at("pressure_iters_p4") == m.at("pressure_iters_p8"));
+    m["gate_makespan_speedup_p8"] = gate(m.at("makespan_speedup_p8") >= 2.0);
+    m["gate_s2v_falls"] = gate(m.at("s2v_ratio_8") < m.at("s2v_ratio_6"));
+    return m;
+  };
 }
 
 /// The paper scorecard: every row's modelled value, shape verdicts as 1/0,
@@ -222,41 +395,6 @@ Metrics measure_paper_scorecard() {
   Metrics m;
   for (const auto& row : bench::scorecard::kRows) m[row.key] = row.model(e);
   return m;
-}
-
-/// --counters-out: every registered counter of one fixed tiny transient
-/// run, emitted in registry order straight from Counters::visit().  The
-/// metric set IS the registry — there is no list here to forget to extend.
-int write_counter_totals(const std::string& path) {
-  miniapp::Scenario scen = miniapp::scenario_cavity();
-  scen.mesh = {.nx = 4, .ny = 4, .nz = 4};
-  const fem::Mesh mesh(scen.mesh);
-  miniapp::TimeLoopConfig cfg;
-  cfg.steps = 1;
-  cfg.vector_size = 64;
-  miniapp::TimeLoop loop(mesh, scen, cfg);
-  sim::Vpu vpu(platforms::riscv_vec());
-  const auto res = loop.run(vpu);
-
-  std::ofstream os(path);
-  if (!os) {
-    std::cerr << "cannot open " << path << '\n';
-    return 2;
-  }
-  os << "{\n  \"schema\": \"vecfd-counters-v1\",\n"
-     << "  \"workload\": \"cavity 4x4x4, 1 step, vs=64, riscv-vec\",\n"
-     << "  \"counters\": {\n";
-  bool first = true;
-  res.total.visit([&](const sim::CounterInfo& info, const auto& v) {
-    if (!first) os << ",\n";
-    first = false;
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.12g", static_cast<double>(v));
-    os << "    \"" << info.name << "\": " << buf;
-  });
-  os << "\n  }\n}\n";
-  std::cout << "wrote " << path << '\n';
-  return 0;
 }
 
 void write_json(std::ostream& os, const Report& report) {
@@ -370,7 +508,7 @@ std::optional<Baseline> load_baseline(const std::string& path) {
   return baseline;
 }
 
-int check(const Report& got, const Report& want, double tolerance) {
+int check(const Report& got, const Report& want) {
   int bad = 0;
   for (const auto& [bench, metrics] : want) {
     for (const auto& [key, w] : metrics) {
@@ -382,7 +520,7 @@ int check(const Report& got, const Report& want, double tolerance) {
       }
       const double g = bi->second.at(key);
       // Written so that a NaN on either side is drift, never a pass.
-      if (!(std::abs(g - w) <= tolerance * (1.0 + std::abs(w)))) {
+      if (!(std::abs(g - w) <= kTolerance * (1.0 + std::abs(w)))) {
         std::cerr << "DRIFT    " << bench << '.' << key << ": baseline "
                   << w << ", measured " << g << '\n';
         ++bad;
@@ -408,64 +546,21 @@ int check(const Report& got, const Report& want, double tolerance) {
 int main(int argc, char** argv) {
   std::string out_path;
   std::string check_path;
-  std::string counters_path;
-  double tolerance = 1e-6;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (a == "--out") {
-      const char* v = next();
-      if (!v) {
-        std::cerr << "bench_to_json: --out: missing value\n";
+    if (a == "--out" || a == "--check") {
+      if (i + 1 == argc) {
+        std::cerr << "bench_to_json: " << a << ": missing value\n";
         return 2;
       }
-      out_path = v;
-    } else if (a == "--check") {
-      const char* v = next();
-      if (!v) {
-        std::cerr << "bench_to_json: --check: missing value\n";
-        return 2;
-      }
-      check_path = v;
-    } else if (a == "--counters-out") {
-      const char* v = next();
-      if (!v) {
-        std::cerr << "bench_to_json: --counters-out: missing value\n";
-        return 2;
-      }
-      counters_path = v;
-    } else if (a == "--tolerance") {
-      const char* v = next();
-      if (!v) {
-        std::cerr << "bench_to_json: --tolerance: missing value\n";
-        return 2;
-      }
-      char* end = nullptr;
-      tolerance = std::strtod(v, &end);
-      if (end == v || *end != '\0' || !std::isfinite(tolerance) ||
-          tolerance < 0.0) {
-        std::cerr << "bench_to_json: --tolerance: invalid value '" << v
-                  << "' (want a non-negative relative tolerance)\n";
-        return 2;
-      }
+      (a == "--out" ? out_path : check_path) = argv[++i];
     } else {
-      std::cerr << "usage: bench_to_json (--out FILE | --check FILE | "
-                   "--counters-out FILE) [--tolerance REL]\n";
+      std::cerr << "usage: bench_to_json (--out FILE | --check FILE)\n";
       return a == "--help" || a == "-h" ? 0 : 2;
     }
   }
-  if (!counters_path.empty()) {
-    if (!out_path.empty() || !check_path.empty()) {
-      std::cerr << "bench_to_json: --counters-out excludes --out / --check\n";
-      return 2;
-    }
-    return write_counter_totals(counters_path);
-  }
   if (out_path.empty() == check_path.empty()) {
-    std::cerr << "bench_to_json: pass exactly one of --out / --check / "
-                 "--counters-out\n";
+    std::cerr << "bench_to_json: pass exactly one of --out / --check\n";
     return 2;
   }
 
@@ -477,12 +572,19 @@ int main(int argc, char** argv) {
     if (!baseline) return 2;
   }
 
+  Study study;
+  const std::map<std::string, Section> sections = {
+      {"multirhs_speedup", multirhs(study)},
+      {"spmv_format_sweep", format_sweep(study)},
+      {"precond_ladder", precond_ladder(study)},
+      {"shard_scaling", shard_scaling(study)},
+  };
+  // The scorecard pass runs first: run after the study fan-out, it took
+  // ~10 s longer on a 4-core Xeon host, at identical results.
   Report report;
-  report["multirhs_speedup"] = measure_multirhs();
   report["paper_scorecard"] = measure_paper_scorecard();
-  report["spmv_format_sweep"] = measure_format_sweep();
-  report["precond_ladder"] = measure_precond_ladder();
-  report["shard_scaling"] = measure_shard_scaling();
+  study.run();
+  for (const auto& [name, reduce] : sections) report[name] = reduce(study);
 
   if (!out_path.empty()) {
     std::ofstream os(out_path);
@@ -495,12 +597,12 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const int bad = check(report, baseline->report, tolerance);
+  const int bad = check(report, baseline->report);
   if (bad > 0) {
     std::cerr << bad << " metric(s) drifted from " << check_path << '\n';
     return 1;
   }
-  std::cout << "all metrics within " << tolerance << " of " << check_path
+  std::cout << "all metrics within " << kTolerance << " of " << check_path
             << '\n';
   return 0;
 }

@@ -25,8 +25,8 @@ one fences):
   counter-registry      sim::Counters is an X-macro registry
                         (VECFD_COUNTERS): fields are declared only through
                         it, operator+=/operator-= expand it, and the
-                        registry consumers (core/csv.cpp, bench_to_json,
-                        the conservation test) never enumerate counters by
+                        registry consumers (core/csv.cpp, the
+                        conservation test) never enumerate counters by
                         hand — subsumes and strengthens PR 6's
                         counter-aggregation rule: wiring drift is now
                         structurally impossible instead of merely detected
@@ -717,7 +717,6 @@ def _load_stripped(repo_root: str, relpath: str):
 # the moment the registry grows.
 _REGISTRY_CONSUMERS = (
     "src/core/csv.cpp",
-    "tools/bench_to_json.cpp",
     "tests/test_time_loop_conservation.cpp",
 )
 
@@ -726,11 +725,11 @@ _REGISTRY_CONSUMERS = (
     "counter-registry",
     "sim::Counters is an X-macro registry: every field is declared through "
     "VECFD_COUNTERS, operator+= / operator-= expand the registry instead of "
-    "enumerating fields, and the registry consumers (core/csv.cpp, "
-    "tools/bench_to_json.cpp, the conservation test) go through the "
-    "visit*() visitors — so a counter added to the registry is wired "
-    "everywhere at once, and a hand-kept per-field list anywhere is a "
-    "finding (subsumes PR 6's counter-aggregation rule)",
+    "enumerating fields, and the registry consumers (core/csv.cpp, the "
+    "conservation test) go through the visit*() visitors — so a counter "
+    "added to the registry is wired everywhere at once, and a hand-kept "
+    "per-field list anywhere is a finding (subsumes PR 6's "
+    "counter-aggregation rule)",
 )
 def rule_counter_registry(repo_root: str) -> list:
     src = _load_stripped(repo_root, "src/sim/counters.h")
