@@ -1,12 +1,15 @@
-// paper_scorecard — the paper's evaluation (Figures 2–13, Tables 3–6) as
-// one table: per claim, the modelled value next to the published one with
-// its relative error, or a PASS/FAIL verdict for a shape claim.  The rows
-// live in bench/paper_scorecard.h; BENCH_PR5.json pins their values.
+// paper_scorecard — the paper's evaluation (§2.3, §4, Figures 2–13,
+// Tables 3–6) and the model's design ablations as one table: per claim,
+// the modelled value next to the published one with its relative error,
+// or a PASS/FAIL verdict for a shape claim.  The rows live in
+// bench/paper_scorecard.h; BENCH_PR5.json pins their values.
 //
 // Takes no flags and always runs the full 16×20×24 workload.  Per-
 // VECTOR_SIZE tables come from `vecfd-run --sweep --machine M --csv FILE`.
 #include <cstdio>
+#include <iostream>
 
+#include "core/report.h"
 #include "paper_scorecard.h"
 
 int main(int argc, char** argv) {
@@ -17,7 +20,8 @@ int main(int argc, char** argv) {
               << argv[1] << "')\n";
     return 2;
   }
-  std::cout << core::banner("Figures 2-13, Tables 3-6", "paper scorecard")
+  std::cout << core::banner("§2.3, §4, Figures 2-13, Tables 3-6",
+                            "paper scorecard")
             << "workload: 16x20x24 = 7680 hex elements\n\n";
   const bench::scorecard::Evidence e = bench::scorecard::measure();
 

@@ -1,11 +1,13 @@
 // The paper scorecard: every evaluation claim of the paper (Figures 2–13,
-// Tables 3–6) as one row of a table declared once, below.  A row computes
-// its modelled value from one shared measurement pass (measure()); a value
-// row carries the published number for its relative error, a shape row is
-// a PASS/FAIL verdict stored as 1/0.  bench/paper_scorecard prints the
-// rows; tools/bench_to_json pins their values in BENCH_PR5.json, so the
-// bench_baseline ctest fails when a modelled paper number moves.  Rows
-// that miss the paper stay as they are (DESIGN.md §11).
+// Tables 3–6, the §4 FMA anchor) and every claim the model makes about its
+// own design (§2.3 scheme and solve, the Fig 9/11 ablations) as one row of
+// a table declared once, below.  A row computes its modelled value from one
+// shared measurement pass (measure()); a value row carries the published
+// number for its relative error, a shape row is a PASS/FAIL verdict stored
+// as 1/0.  bench/paper_scorecard prints the rows; tools/bench_to_json pins
+// their values in BENCH_PR5.json, so the bench_baseline ctest fails when a
+// modelled paper number moves.  Rows that miss the paper stay as they are
+// (DESIGN.md §11).
 #pragma once
 
 #include <algorithm>
@@ -16,31 +18,99 @@
 #include <string_view>
 #include <vector>
 
-#include "bench_common.h"
+#include "core/experiment.h"
+#include "metrics/metrics.h"
+#include "platforms/platforms.h"
+#include "sim/timing_model.h"
 #include "stats/ols.h"
 #include "trace/vehave_trace.h"
+
+namespace vecfd::bench {
+
+/// The paper's evaluation mesh, 16×20×24 = 7680 elements: divisible by
+/// every studied VECTOR_SIZE.
+inline constexpr fem::MeshConfig kPaperMesh{.nx = 16, .ny = 20, .nz = 24};
+
+/// The paper's studied VECTOR_SIZE values (§2.3).
+inline constexpr auto& kVectorSizes = miniapp::kStudiedVectorSizes;
+
+}  // namespace vecfd::bench
 
 namespace vecfd::bench::scorecard {
 
 using miniapp::OptLevel;
 using enum miniapp::OptLevel;
 
+/// The explicit-scheme mini-app configuration at @p vs and @p opt.
+inline miniapp::MiniAppConfig config(int vs, OptLevel opt) {
+  miniapp::MiniAppConfig cfg;
+  cfg.vector_size = vs;
+  cfg.opt = opt;
+  return cfg;
+}
+
+/// VEC1 at @p vs under the semi-implicit scheme, with the phase-9 solve
+/// chained when @p solve.
+inline miniapp::MiniAppConfig semi_implicit_vec1(int vs, bool solve) {
+  miniapp::MiniAppConfig cfg = config(vs, kVec1);
+  cfg.scheme = fem::Scheme::kSemiImplicit;
+  cfg.run_solve = solve;
+  return cfg;
+}
+
+/// riscv-vec without the lane-feeding FSM quirk: every vector length feeds
+/// the lanes at full rate (DESIGN.md §1).
+inline sim::MachineConfig riscv_without_fsm_quirk() {
+  sim::MachineConfig m = platforms::riscv_vec();
+  m.name = "riscv-vec-no-fsm-quirk";
+  m.fsm_group = 1;
+  m.fsm_penalty = 1.0;
+  return m;
+}
+
+/// riscv-vec with ideal caches: an L2 or memory access costs no extra
+/// cycles over an L1 hit.
+inline sim::MachineConfig riscv_ideal_caches() {
+  sim::MachineConfig m = platforms::riscv_vec();
+  m.name = "riscv-vec-ideal-caches";
+  m.memory.l2_latency = 0.0;
+  m.memory.mem_latency = 0.0;
+  return m;
+}
+
 /// The measurements every row reads.
 struct Evidence {
   std::vector<core::Measurement> runs;
   double vec2_phase2_avl = 0.0;  ///< Vehave-traced phase-2 AVL, VEC2 @ 240
 
-  const core::Measurement& at(std::string_view machine, int vs,
-                              OptLevel opt) const {
+  /// The run of @p machine at @p app's VECTOR_SIZE, optimization level,
+  /// scheme and solve switch.  Throws when no run or more than one run
+  /// matches, so a variant point can never be read in place of another.
+  const core::Measurement& at(std::string_view machine,
+                              const miniapp::MiniAppConfig& app) const {
+    const core::Measurement* found = nullptr;
     for (const core::Measurement& m : runs) {
-      if (m.machine.name == machine && m.app.vector_size == vs &&
-          m.app.opt == opt) {
-        return m;
+      if (m.machine.name == machine &&
+          m.app.vector_size == app.vector_size && m.app.opt == app.opt &&
+          m.app.scheme == app.scheme && m.app.run_solve == app.run_solve) {
+        if (found != nullptr) {
+          throw std::logic_error("paper scorecard: several runs " +
+                                 std::string(machine) + " VS " +
+                                 std::to_string(app.vector_size));
+        }
+        found = &m;
       }
     }
-    throw std::out_of_range("paper scorecard: no run " +
-                            std::string(machine) + " VS " +
-                            std::to_string(vs));
+    if (found == nullptr) {
+      throw std::out_of_range("paper scorecard: no run " +
+                              std::string(machine) + " VS " +
+                              std::to_string(app.vector_size));
+    }
+    return *found;
+  }
+  const core::Measurement& at(std::string_view machine, int vs,
+                              OptLevel opt) const {
+    return at(machine, config(vs, opt));
   }
   const core::Measurement& riscv(int vs, OptLevel opt) const {
     return at("riscv-vec", vs, opt);
@@ -50,42 +120,48 @@ struct Evidence {
   }
 };
 
-/// The one measurement pass, on the paper's fixed kPaperMesh workload
-/// (VECFD_BENCH_SMALL is ignored, so the baseline never depends on the
-/// environment): riscv-vec over kVectorSizes × {vanilla, VEC2, IVEC2,
-/// VEC1}, sx-aurora and mn4-avx512 over kVectorSizes × {vanilla, VEC1},
-/// the scalar VECTOR_SIZE 16 baseline, all in one run_points fan-out;
-/// then one Vehave trace of VEC2 at VECTOR_SIZE 240.
+/// The one measurement pass, on the paper's fixed kPaperMesh workload:
+/// riscv-vec over kVectorSizes × {vanilla, VEC2, IVEC2, VEC1}, sx-aurora
+/// and mn4-avx512 over kVectorSizes × {vanilla, VEC1}, the scalar
+/// VECTOR_SIZE 16 baseline, and the VEC1 ablation points (FSM quirk off
+/// at VS 240/256, ideal caches at VS 16/512, semi-implicit at VS 240, the
+/// chained solve at VS 256/512), all in one run_points fan-out; then one
+/// Vehave trace of VEC2 at VECTOR_SIZE 240.
 inline Evidence measure() {
   const fem::Mesh mesh(kPaperMesh);
   const fem::State state(mesh);
   const core::Experiment ex(mesh, state);
 
   std::vector<core::SweepPoint> points;
-  auto add = [&](const sim::MachineConfig& machine, int vs, OptLevel opt) {
-    miniapp::MiniAppConfig cfg;
-    cfg.vector_size = vs;
-    cfg.opt = opt;
+  auto add = [&](const sim::MachineConfig& machine,
+                 const miniapp::MiniAppConfig& cfg) {
     points.push_back({machine, cfg});
   };
-  add(platforms::riscv_vec_scalar(), 16, kScalar);
+  add(platforms::riscv_vec_scalar(), config(16, kScalar));
   for (const int vs : kVectorSizes) {
     for (const OptLevel opt : core::kSweepOptLevels) {
-      add(platforms::riscv_vec(), vs, opt);
+      add(platforms::riscv_vec(), config(vs, opt));
     }
     for (const auto& machine :
          {platforms::sx_aurora(), platforms::mn4_avx512()}) {
-      add(machine, vs, kVanilla);
-      add(machine, vs, kVec1);
+      add(machine, config(vs, kVanilla));
+      add(machine, config(vs, kVec1));
     }
+  }
+  // The ablations go last: listed first, they made the pass ~25% slower
+  // in host CPU time on a 4-core Xeon, at identical results.
+  for (const int vs : {240, 256}) {
+    add(riscv_without_fsm_quirk(), config(vs, kVec1));
+  }
+  for (const int vs : {16, 512}) add(riscv_ideal_caches(), config(vs, kVec1));
+  add(platforms::riscv_vec(), semi_implicit_vec1(240, /*solve=*/false));
+  for (const int vs : {256, 512}) {
+    add(platforms::riscv_vec(), semi_implicit_vec1(vs, /*solve=*/true));
   }
   Evidence e;
   e.runs = ex.run_points(points);
 
-  miniapp::MiniAppConfig vec2;
-  vec2.vector_size = 240;
-  vec2.opt = kVec2;
-  miniapp::MiniApp app(mesh, state, vec2);
+  miniapp::MiniApp app(mesh, state, config(240, kVec2));
   sim::Vpu vpu(platforms::riscv_vec());
   trace::VehaveTrace tr(1u << 23);
   vpu.set_observer(&tr);
@@ -152,6 +228,33 @@ inline double phase_r2(const Evidence& e, int phase) {
   return stats::ols_fit(xs, cycles).r_squared;
 }
 
+/// Whether @p phase takes the most cycles of the assembly phases 1–8.
+inline bool top_assembly_phase(const core::Measurement& m, int phase) {
+  for (int p = 1; p <= 8; ++p) {
+    if (m.phase_cycles(p) > m.phase_cycles(phase)) return false;
+  }
+  return true;
+}
+
+/// Growth of the VEC1 phase 1+8 cycle share from VS 16 to VS 512 on
+/// @p machine.
+inline double phase18_share_growth(const Evidence& e,
+                                   std::string_view machine) {
+  auto share = [&](int vs) {
+    const core::Measurement& m = e.at(machine, vs, kVec1);
+    return m.phase_share(1) + m.phase_share(8);
+  };
+  return share(512) - share(16);
+}
+
+/// Phase-9 vector metrics of the semi-implicit VEC1 run with the chained
+/// solve at @p vs.
+inline const metrics::VectorMetrics& solve_metrics(const Evidence& e,
+                                                   int vs) {
+  return e.at("riscv-vec", semi_implicit_vec1(vs, /*solve=*/true))
+      .phase_metrics[miniapp::kSolvePhase];
+}
+
 inline double phase6_vcpi(const Evidence& e, int vs) {
   return e.riscv(vs, kVanilla).phase_metrics[6].vcpi;
 }
@@ -160,7 +263,8 @@ inline double phase6_vcpi(const Evidence& e, int vs) {
 struct Row {
   enum Kind { kValue, kShape };
   const char* key;     ///< baseline key under "paper_scorecard"
-  const char* source;  ///< "Fig 2" … "Fig 13", "Table 3" … "Table 6"
+  /// "§2.3", "§4", "Fig 2" … "Fig 13" or "Table 3" … "Table 6"
+  const char* source;
   const char* claim;
   Kind kind;
   double published;    ///< the paper's value (kValue rows only)
@@ -168,6 +272,26 @@ struct Row {
 };
 
 inline constexpr Row kRows[] = {
+  {"sec2_3_semi_implicit_phase8_top", "§2.3",
+   "semi-implicit VEC1 VS 240: phase 8 is the most time-consuming phase",
+   Row::kShape, 0, [](const Evidence& e) -> double {
+     return top_assembly_phase(
+         e.at("riscv-vec", semi_implicit_vec1(240, /*solve=*/false)), 8);
+   }},
+  {"sec2_3_phase9_occupancy_saturates", "§2.3",
+   "semi-implicit VEC1 phase-9 solve: Ev >= 0.99 at VS 256 and 512, AVL "
+   "flat past vlmax", Row::kShape, 0,
+   [](const Evidence& e) -> double {
+     return solve_metrics(e, 256).ev >= 0.99 &&
+            solve_metrics(e, 512).ev >= 0.99 &&
+            solve_metrics(e, 512).avl == solve_metrics(e, 256).avl;
+   }},
+  {"sec4_fma_cycles_vl256", "§4",
+   "RISC-V VEC: cycles per vector FMA at vl 256", Row::kValue, 32,
+   [](const Evidence&) {
+     const sim::MachineConfig machine = platforms::riscv_vec();
+     return sim::TimingModel(machine).varith_cycles(256);
+   }},
   {"fig2_fastest_vs", "Fig 2",
    "vanilla: VECTOR_SIZE with the fewest total cycles", Row::kValue, 240,
    [](const Evidence& e) -> double {
@@ -190,11 +314,7 @@ inline constexpr Row kRows[] = {
   {"fig4_phase2_top_vs512", "Fig 4",
    "vanilla VS 512: phase 2 is the most time-consuming phase", Row::kShape,
    0, [](const Evidence& e) -> double {
-     const core::Measurement& m = e.riscv(512, kVanilla);
-     for (int p = 1; p <= 8; ++p) {
-       if (m.phase_cycles(p) > m.phase_cycles(2)) return false;
-     }
-     return true;
+     return top_assembly_phase(e.riscv(512, kVanilla), 2);
    }},
   {"fig5_vec2_phase2_slower", "Fig 5",
    "VEC2 phase-2 cycles above vanilla at every VS", Row::kShape, 0,
@@ -237,6 +357,12 @@ inline constexpr Row kRows[] = {
      }
      return true;
    }},
+  {"fig9_ideal_caches_keep_phase18_growth", "Fig 9",
+   "VEC1: ideal caches keep >= half of the phase 1+8 share growth, VS 16 "
+   "to 512", Row::kShape, 0, [](const Evidence& e) -> double {
+     return phase18_share_growth(e, riscv_ideal_caches().name) >=
+            0.5 * phase18_share_growth(e, "riscv-vec");
+   }},
   {"fig10_occupancy_vs256", "Fig 10", "VEC1 VS 256: vector occupancy Ev",
    Row::kValue, 1.0,
    [](const Evidence& e) { return e.riscv(256, kVec1).overall.ev; }},
@@ -247,6 +373,13 @@ inline constexpr Row kRows[] = {
    Row::kValue, 240, [](const Evidence& e) -> double {
      return std::ranges::max(kVectorSizes, {},
                              [&](int vs) { return vec1_speedup(e, vs); });
+   }},
+  {"fig11_no_fsm_quirk_vs256_beats_240", "Fig 11",
+   "without the FSM quirk: VEC1 at VS 256 beats VS 240", Row::kShape, 0,
+   [](const Evidence& e) -> double {
+     const std::string machine = riscv_without_fsm_quirk().name;
+     return e.at(machine, 256, kVec1).total_cycles <
+            e.at(machine, 240, kVec1).total_cycles;
    }},
   {"fig12_riscv_max_speedup", "Fig 12",
    "RISC-V VEC: largest VEC1-over-vanilla speed-up", Row::kValue, 1.45,

@@ -183,7 +183,8 @@ TEST(BenchContract, CheckedInBaselineMeetsEveryStudyGate) {
     }
   }
   for (const char* study : {"multirhs_speedup", "spmv_format_sweep",
-                            "precond_ladder", "shard_scaling"}) {
+                            "precond_ladder", "shard_scaling",
+                            "solve_stage"}) {
     EXPECT_GT(gates[study], 0) << study << " states no gate_* key";
   }
   EXPECT_EQ(gates.count("paper_scorecard"), 0u);

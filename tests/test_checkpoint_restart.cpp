@@ -302,8 +302,8 @@ TEST(ConfigHash, SeparatesEveryKnob) {
     f.scen.name = "cavity2";
     EXPECT_NE(f.hash(), h0) << "scenario name";
   }
-  // Same-name machine variants, as bench/ablation_design_choices builds
-  // them: the name alone must not vouch for the model behind it.
+  // Same-name machine variants (the scorecard's ablation points, had they
+  // kept the name): the name alone must not vouch for the model behind it.
   {
     HashFixture f;
     f.machine.fsm_group = 1;

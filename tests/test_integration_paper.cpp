@@ -10,6 +10,7 @@
 #include <cctype>
 #include <cmath>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -224,12 +225,12 @@ TEST(PaperShape, PortabilityNoRegressionOnOtherPlatforms) {
 
 TEST(PaperScorecard, CoversEveryFigureAndTable) {
   // The static row table alone, no measurement: every artifact of the
-  // evaluation has a claim, every row's baseline key is unique and a bare
+  // evaluation, and the §4 FMA anchor, has a claim, every row's baseline key is unique and a bare
   // word bench_to_json's line reader round-trips, and every value row
   // quotes a finite, non-zero published number to take the error against.
   using vecfd::bench::scorecard::kRows;
   using vecfd::bench::scorecard::Row;
-  std::vector<std::string> artifacts;
+  std::vector<std::string> artifacts = {"§2.3", "§4"};
   for (int f = 2; f <= 13; ++f) artifacts.push_back("Fig " + std::to_string(f));
   for (int t = 3; t <= 6; ++t) {
     artifacts.push_back("Table " + std::to_string(t));
@@ -259,6 +260,31 @@ TEST(PaperScorecard, CoversEveryFigureAndTable) {
           << r.key << ": published value " << r.published;
     }
   }
+}
+
+TEST(PaperScorecard, EvidenceLookupRejectsAmbiguousPoints) {
+  // A variant point (a semi-implicit run, an ablated machine that kept its
+  // name) must never be read in place of the baseline run it resembles.
+  using vecfd::bench::scorecard::config;
+  using vecfd::bench::scorecard::Evidence;
+  using vecfd::bench::scorecard::semi_implicit_vec1;
+  auto run = [](const MiniAppConfig& app, double cycles) {
+    Measurement m;
+    m.machine = riscv_vec();
+    m.app = app;
+    m.total_cycles = cycles;
+    return m;
+  };
+  Evidence e;
+  e.runs = {run(semi_implicit_vec1(240, false), 1.0),
+            run(config(240, OptLevel::kVec1), 2.0),
+            run(semi_implicit_vec1(256, true), 3.0)};
+  EXPECT_EQ(e.riscv(240, OptLevel::kVec1).total_cycles, 2.0);
+  EXPECT_EQ(e.at("riscv-vec", semi_implicit_vec1(240, false)).total_cycles,
+            1.0);
+  EXPECT_THROW((void)e.riscv(256, OptLevel::kVec1), std::out_of_range);
+  e.runs.push_back(run(config(240, OptLevel::kVec1), 4.0));
+  EXPECT_THROW((void)e.riscv(240, OptLevel::kVec1), std::logic_error);
 }
 
 }  // namespace

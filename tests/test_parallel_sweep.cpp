@@ -3,12 +3,10 @@
 // byte-identical CSV — at any job count.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
 
-#include "bench_common.h"
 #include "core/csv.h"
 #include "core/experiment.h"
 #include "sanitizer_support.h"
@@ -142,19 +140,6 @@ TEST(ParallelSweep, WorkerExceptionPropagates) {
   cfg.vector_size = -1;  // MiniApp ctor throws
   points.push_back({riscv_vec(), cfg});
   EXPECT_THROW((void)ex.run_points(points, 2), std::invalid_argument);
-}
-
-TEST(BenchJobs, EnvironmentParseIsStrict) {
-  ::setenv("VECFD_BENCH_JOBS", "3", 1);
-  EXPECT_EQ(vecfd::bench::sweep_jobs(), 3);
-  for (const char* bad : {"", "two", "2x", "-1", "99999999999"}) {
-    ::setenv("VECFD_BENCH_JOBS", bad, 1);
-    EXPECT_EXIT(vecfd::bench::sweep_jobs(), ::testing::ExitedWithCode(2),
-                "VECFD_BENCH_JOBS")
-        << "value '" << bad << "'";
-  }
-  ::unsetenv("VECFD_BENCH_JOBS");
-  EXPECT_EQ(vecfd::bench::sweep_jobs(), 0) << "unset = all cores";
 }
 
 }  // namespace

@@ -2,10 +2,11 @@
 //
 // Measures the four co-design studies — blocked multi-RHS momentum
 // (DESIGN.md §5), SpMV formats (§6), the pressure preconditioner ladder
-// (§8) and sharding (§9) — and every row of the paper scorecard
-// (bench/paper_scorecard.h) on a FIXED workload, independent of
-// VECFD_BENCH_SMALL, so the checked-in baseline and any CI run measure the
-// same thing.  The scalar metrics are serialized as JSON:
+// (§8) and sharding (§9) — the solve stage's share of their transient
+// steps (§4), and every row of the paper scorecard
+// (bench/paper_scorecard.h) on a FIXED workload, so the checked-in
+// baseline and any CI run measure the same thing.  The scalar metrics are
+// serialized as JSON:
 //
 //   { "schema": "vecfd-bench-v1",
 //     "benches": { "<bench>": { "<metric>": <number>, ... }, ... } }
@@ -100,6 +101,7 @@ class Study {
   const TimeLoopResult& operator[](std::size_t slot) const {
     return results_[slot];
   }
+  std::size_t size() const { return results_.size(); }
 
  private:
   struct Point {
@@ -388,6 +390,36 @@ Section shard_scaling(Study& study) {
   };
 }
 
+/// The solve stage (phases 9–11) against the whole transient step, over
+/// every point the other sections list: its smallest and largest share
+/// of cycles and the number of points where it is the majority.  The
+/// stage does not dominate every step; the gate states what holds on all
+/// of them: it takes between 2/5 and 7/10 of the cycles.
+Metrics solve_stage(const Study& s) {
+  Metrics m;
+  double lo = 1.0;
+  double hi = 0.0;
+  int majority = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const TimeLoopResult& r = s[i];
+    double solve = 0.0;
+    for (const int p : {miniapp::kSolvePhase, miniapp::kPressurePhase,
+                        miniapp::kCorrectionPhase}) {
+      solve += r.phase[p].total_cycles();
+    }
+    const double share = solve / r.cycles;
+    lo = std::min(lo, share);
+    hi = std::max(hi, share);
+    majority += share > 0.5 ? 1 : 0;
+  }
+  m["share_min"] = lo;
+  m["share_max"] = hi;
+  m["majority_points"] = majority;
+  m["points"] = static_cast<double>(s.size());
+  m["gate_share_40_to_70_pct"] = gate(lo >= 0.4 && hi <= 0.7);
+  return m;
+}
+
 /// The paper scorecard: every row's modelled value, shape verdicts as 1/0,
 /// so any move of a modelled paper number is drift.
 Metrics measure_paper_scorecard() {
@@ -578,6 +610,7 @@ int main(int argc, char** argv) {
       {"spmv_format_sweep", format_sweep(study)},
       {"precond_ladder", precond_ladder(study)},
       {"shard_scaling", shard_scaling(study)},
+      {"solve_stage", solve_stage},
   };
   // The scorecard pass runs first: run after the study fan-out, it took
   // ~10 s longer on a 4-core Xeon host, at identical results.
