@@ -25,6 +25,10 @@
 //     The grid drives the vector and the scalar lane form of every
 //     assembly subkernel (checked by GoldenAssemblyCounters.
 //     GridDrivesBothLaneFormsOfEverySubkernel).
+//   * tests/golden/vpu_isa_counters.csv — every instruction sim::Vpu
+//     issues, per platform, vector length and phase, plus each misuse's
+//     exception: hashes of the results and of the observer stream, and
+//     every registered counter of the total and of each phase.
 //
 // For each golden:
 //
@@ -41,11 +45,14 @@
 // `--regen-golden` and commit the rewritten file.
 //
 // This suite links plain GTest (no gtest_main): the custom main owns the
-// --regen-golden flag.  The exact-value comparison is skipped under ASan,
-// whose allocator breaks the 128-byte-aligned deterministic memory model
-// (see sanitizer_support.h); the schema check always runs.
+// --regen-golden flag.  The exact-value comparison is skipped under ASan
+// and TSan, whose allocators break the 128-byte-aligned deterministic
+// memory model (see sanitizer_support.h); the schema check always runs.
+// The ISA golden is the exception: its buffers live on the stack, so its
+// values are checked in sanitizer builds too.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -53,9 +60,11 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <span>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -626,6 +635,339 @@ std::string generate_assembly_counters_csv() {
   return os.str();
 }
 
+/// Host buffers the ISA golden's memory instructions read and write.
+/// alignas(128) on the stack keeps every buffer on a line boundary of every
+/// modelled platform without the 128-byte-aligned operator new, so the
+/// canonical line stream (and with it every cache counter) is the same in
+/// sanitizer builds, whose allocators replace that operator new.
+constexpr int kIsaElems = 1024;
+
+struct IsaBuffers {
+  alignas(128) double src[kIsaElems];
+  alignas(128) double dst[kIsaElems];
+  alignas(128) std::int32_t src32[kIsaElems];
+  alignas(128) std::int32_t dst32[kIsaElems];
+};
+
+/// Hashes the observer stream: (phase, kind, vl, cycles) per instruction.
+class HashObserver final : public sim::InstrObserver {
+ public:
+  void on_instr(int phase, sim::InstrKind kind, int vl,
+                double cycles) override {
+    const double rec[] = {static_cast<double>(phase),
+                          static_cast<double>(static_cast<int>(kind)),
+                          static_cast<double>(vl), cycles};
+    fnv_mix(hash, rec);
+  }
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+};
+
+/// Operand @p k of an elementwise instruction: @p len positive lanes.
+sim::Vec isa_lanes(int len, int k) {
+  sim::Vec v(static_cast<std::size_t>(len));
+  for (int i = 0; i < len; ++i) {
+    v[static_cast<std::size_t>(i)] = 0.5 + 0.25 * k + 0.125 * i;
+  }
+  return v;
+}
+
+/// Gather index of @p len lanes: every third lane (i % 3 == 1) is a masked
+/// −1 pad, the others revisit a few lines of src.
+sim::Vec isa_gather_index(int len) {
+  sim::Vec v(static_cast<std::size_t>(len));
+  for (int i = 0; i < len; ++i) {
+    v[static_cast<std::size_t>(i)] = i % 3 == 1 ? -1.0 : (i * 37) % 600;
+  }
+  return v;
+}
+
+/// Scatter index of @p len distinct lanes into dst.
+sim::Vec isa_scatter_index(int len) {
+  sim::Vec v(static_cast<std::size_t>(len));
+  for (int i = 0; i < len; ++i) {
+    v[static_cast<std::size_t>(i)] = (i * 7) % kIsaElems;
+  }
+  return v;
+}
+
+/// One instruction of the ISA golden.  @p operands Vec operands; @p lens
+/// holds their lengths, @p vl the row's vector length.
+struct IsaCase {
+  const char* name;
+  int operands;
+  std::function<void(sim::Vpu&, IsaBuffers&, const int* lens, int vl,
+                     std::vector<double>& out)>
+      issue;
+};
+
+std::vector<IsaCase> isa_cases() {
+  const auto append = [](std::vector<double>& out, const sim::Vec& v) {
+    out.insert(out.end(), v.raw().begin(), v.raw().end());
+  };
+  const auto lanes = [](const int* lens, int k) {
+    return isa_lanes(lens[k], k);
+  };
+  std::vector<IsaCase> c;
+  c.push_back({"vsetvl", 0, [](sim::Vpu& v, IsaBuffers&, const int*, int vl,
+                               std::vector<double>& out) {
+                 out.push_back(v.set_vl(2 * vl + 1));
+               }});
+  c.push_back({"vsetvl_zero", 0, [](sim::Vpu& v, IsaBuffers&, const int*,
+                                    int, std::vector<double>& out) {
+                 out.push_back(v.set_vl(0));
+               }});
+  c.push_back({"vload", 0, [=](sim::Vpu& v, IsaBuffers& b, const int*, int,
+                               std::vector<double>& out) {
+                 append(out, v.vload(b.src + 3));
+               }});
+  c.push_back({"vload_strided", 0,
+               [=](sim::Vpu& v, IsaBuffers& b, const int*, int,
+                   std::vector<double>& out) {
+                 append(out, v.vload_strided(b.src + 1, 3));
+               }});
+  c.push_back({"vload_i32", 0, [=](sim::Vpu& v, IsaBuffers& b, const int*,
+                                   int, std::vector<double>& out) {
+                 append(out, v.vload_i32(b.src32 + 5));
+               }});
+  c.push_back({"vgather", 1, [=](sim::Vpu& v, IsaBuffers& b, const int* lens,
+                                 int, std::vector<double>& out) {
+                 append(out, v.vgather(b.src, isa_gather_index(lens[0])));
+               }});
+  c.push_back({"vstore", 1, [=](sim::Vpu& v, IsaBuffers& b, const int* lens,
+                                int, std::vector<double>&) {
+                 v.vstore(b.dst + 3, lanes(lens, 0));
+               }});
+  c.push_back({"vstore_strided", 1,
+               [=](sim::Vpu& v, IsaBuffers& b, const int* lens, int,
+                   std::vector<double>&) {
+                 v.vstore_strided(b.dst + 2, 3, lanes(lens, 0));
+               }});
+  c.push_back({"vscatter", 2, [=](sim::Vpu& v, IsaBuffers& b,
+                                  const int* lens, int, std::vector<double>&) {
+                 v.vscatter(b.dst, isa_scatter_index(lens[0]), lanes(lens, 1));
+               }});
+  using Binary = sim::Vec (sim::Vpu::*)(const sim::Vec&, const sim::Vec&);
+  for (const auto& [name, op] :
+       {std::pair<const char*, Binary>{"vadd", &sim::Vpu::vadd},
+        {"vsub", &sim::Vpu::vsub},
+        {"vmul", &sim::Vpu::vmul},
+        {"vdiv", &sim::Vpu::vdiv}}) {
+    c.push_back({name, 2, [=, op = op](sim::Vpu& v, IsaBuffers&,
+                                       const int* lens, int,
+                                       std::vector<double>& out) {
+                   append(out, (v.*op)(lanes(lens, 0), lanes(lens, 1)));
+                 }});
+  }
+  using Ternary = sim::Vec (sim::Vpu::*)(const sim::Vec&, const sim::Vec&,
+                                         const sim::Vec&);
+  for (const auto& [name, op] :
+       {std::pair<const char*, Ternary>{"vfma", &sim::Vpu::vfma},
+        {"vfnma", &sim::Vpu::vfnma}}) {
+    c.push_back({name, 3, [=, op = op](sim::Vpu& v, IsaBuffers&,
+                                       const int* lens, int,
+                                       std::vector<double>& out) {
+                   append(out, (v.*op)(lanes(lens, 0), lanes(lens, 1),
+                                       lanes(lens, 2)));
+                 }});
+  }
+  using Unary = sim::Vec (sim::Vpu::*)(const sim::Vec&);
+  for (const auto& [name, op] :
+       {std::pair<const char*, Unary>{"vsqrt", &sim::Vpu::vsqrt},
+        {"vcbrt", &sim::Vpu::vcbrt}}) {
+    c.push_back({name, 1, [=, op = op](sim::Vpu& v, IsaBuffers&,
+                                       const int* lens, int,
+                                       std::vector<double>& out) {
+                   append(out, (v.*op)(lanes(lens, 0)));
+                 }});
+  }
+  c.push_back({"vabs", 1, [=](sim::Vpu& v, IsaBuffers&, const int* lens, int,
+                              std::vector<double>& out) {
+                 sim::Vec a = lanes(lens, 0);
+                 for (int i = 0; i < a.size(); i += 2) {
+                   a[static_cast<std::size_t>(i)] *= -1.0;
+                 }
+                 append(out, v.vabs(a));
+               }});
+  using VecScalar = sim::Vec (sim::Vpu::*)(const sim::Vec&, double);
+  for (const auto& [name, op] :
+       {std::pair<const char*, VecScalar>{"vadd_s", &sim::Vpu::vadd_s},
+        {"vmul_s", &sim::Vpu::vmul_s},
+        {"viadd_s", &sim::Vpu::viadd_s},
+        {"vimul_s", &sim::Vpu::vimul_s}}) {
+    c.push_back({name, 1, [=, op = op](sim::Vpu& v, IsaBuffers&,
+                                       const int* lens, int,
+                                       std::vector<double>& out) {
+                   append(out, (v.*op)(lanes(lens, 0), 1.75));
+                 }});
+  }
+  c.push_back({"vfma_s", 2, [=](sim::Vpu& v, IsaBuffers&, const int* lens,
+                                int, std::vector<double>& out) {
+                 append(out, v.vfma_s(lanes(lens, 0), -0.625, lanes(lens, 1)));
+               }});
+  using Reduce = double (sim::Vpu::*)(const sim::Vec&);
+  for (const auto& [name, op] :
+       {std::pair<const char*, Reduce>{"vredsum", &sim::Vpu::vredsum},
+        {"vredmax", &sim::Vpu::vredmax}}) {
+    c.push_back({name, 1, [=, op = op](sim::Vpu& v, IsaBuffers&,
+                                       const int* lens, int,
+                                       std::vector<double>& out) {
+                   out.push_back((v.*op)(lanes(lens, 0)));
+                 }});
+  }
+  c.push_back({"vsplat", 0, [=](sim::Vpu& v, IsaBuffers&, const int*, int vl,
+                                std::vector<double>& out) {
+                 append(out, v.vsplat(0.5 + vl));
+               }});
+  c.push_back({"sload", 0, [](sim::Vpu& v, IsaBuffers& b, const int*, int vl,
+                              std::vector<double>& out) {
+                 out.push_back(v.sload(b.src + vl));
+               }});
+  c.push_back({"sload_i32", 0, [](sim::Vpu& v, IsaBuffers& b, const int*,
+                                  int vl, std::vector<double>& out) {
+                 out.push_back(v.sload_i32(b.src32 + vl));
+               }});
+  c.push_back({"sstore", 0, [](sim::Vpu& v, IsaBuffers& b, const int*, int vl,
+                               std::vector<double>&) {
+                 v.sstore(b.dst + vl, 2.5 + vl);
+               }});
+  c.push_back({"sstore_i32", 0, [](sim::Vpu& v, IsaBuffers& b, const int*,
+                                   int vl, std::vector<double>&) {
+                 v.sstore_i32(b.dst32 + vl, -vl);
+               }});
+  using Count = void (sim::Vpu::*)(std::uint64_t);
+  for (const auto& [name, op] :
+       {std::pair<const char*, Count>{"sarith", &sim::Vpu::sarith},
+        {"note_coalesced_lanes", &sim::Vpu::note_coalesced_lanes},
+        {"note_pad_lanes", &sim::Vpu::note_pad_lanes},
+        {"note_halo_lines_sent", &sim::Vpu::note_halo_lines_sent},
+        {"note_halo_lines_recv", &sim::Vpu::note_halo_lines_recv},
+        {"note_halo_messages", &sim::Vpu::note_halo_messages}}) {
+    c.push_back({name, 0, [op = op](sim::Vpu& v, IsaBuffers&, const int*,
+                                    int vl, std::vector<double>&) {
+                   (v.*op)(static_cast<std::uint64_t>(vl));
+                 }});
+  }
+  using Scalar2 = double (sim::Vpu::*)(double, double);
+  for (const auto& [name, op] :
+       {std::pair<const char*, Scalar2>{"sadd", &sim::Vpu::sadd},
+        {"ssub", &sim::Vpu::ssub},
+        {"smul", &sim::Vpu::smul},
+        {"sdiv", &sim::Vpu::sdiv}}) {
+    c.push_back({name, 0, [op = op](sim::Vpu& v, IsaBuffers&, const int*,
+                                    int vl, std::vector<double>& out) {
+                   out.push_back((v.*op)(1.5 + vl, 0.75));
+                 }});
+  }
+  using Scalar3 = double (sim::Vpu::*)(double, double, double);
+  for (const auto& [name, op] :
+       {std::pair<const char*, Scalar3>{"sfma", &sim::Vpu::sfma},
+        {"sfnma", &sim::Vpu::sfnma}}) {
+    c.push_back({name, 0, [op = op](sim::Vpu& v, IsaBuffers&, const int*,
+                                    int vl, std::vector<double>& out) {
+                   out.push_back((v.*op)(1.5 + vl, 0.75, -2.25));
+                 }});
+  }
+  using Scalar1 = double (sim::Vpu::*)(double);
+  for (const auto& [name, op] :
+       {std::pair<const char*, Scalar1>{"ssqrt", &sim::Vpu::ssqrt},
+        {"scbrt", &sim::Vpu::scbrt}}) {
+    c.push_back({name, 0, [op = op](sim::Vpu& v, IsaBuffers&, const int*,
+                                    int vl, std::vector<double>& out) {
+                   out.push_back((v.*op)(1.5 + vl));
+                 }});
+  }
+  return c;
+}
+
+/// The ISA counter golden workload: every instruction sim::Vpu issues, on
+/// riscv-vec, sx-aurora (128 B lines), mn4-avx512 and riscv-vec-scalar, at
+/// vl ∈ {1, 7, vlmax} (vsetvl_zero asks for 0 lanes), issued twice (cold, then warm caches) in phase 0 or
+/// inside the open phase 1 of a fresh two-phase Vpu whose vsetvl ran in
+/// phase 0.  Instructions with Vec operands also run, at vl 7 in phase 1,
+/// with every operand empty and with the last operand one lane long.  One
+/// row per run: a hash of the results and of every byte stored, a hash of
+/// the observer stream, the exception type and what() (or "-"), and every
+/// registered counter of the total, phase 0 and phase 1.
+std::string generate_vpu_isa_counters_csv() {
+  IsaBuffers bufs;
+  for (int i = 0; i < kIsaElems; ++i) {
+    bufs.src[i] = 1.0 + 0.5 * std::sin(0.37 * i);
+    bufs.src32[i] = (i * 13) % 1000 - 100;
+  }
+  std::ostringstream os;
+  os << "machine,instr,operands,vl,phase,result_hash,observer_hash,what";
+  for (const char* prefix : {"", "p0_", "p1_"}) {
+    sim::Counters::visit_fields([&](const sim::CounterInfo& info) {
+      os << ',' << prefix << info.name;
+    });
+  }
+  os << '\n';
+  const std::vector<IsaCase> cases = isa_cases();
+  for (const sim::MachineConfig& m :
+       {platforms::riscv_vec(), platforms::sx_aurora(),
+        platforms::mn4_avx512(), platforms::riscv_vec_scalar()}) {
+    const auto run = [&](const IsaCase& c, const char* shape, int vl,
+                         int phase) {
+      int lens[3];
+      for (int k = 0; k < 3; ++k) {
+        lens[k] = std::string_view(shape) == "empty" ? 0 : vl;
+      }
+      if (std::string_view(shape) == "mismatch") lens[c.operands - 1] += 1;
+      std::fill(std::begin(bufs.dst), std::end(bufs.dst), 0.0);
+      std::fill(std::begin(bufs.dst32), std::end(bufs.dst32), 0);
+      sim::Vpu vpu(m, /*num_phases=*/1);
+      HashObserver obs;
+      vpu.set_observer(&obs);
+      std::vector<double> out;
+      std::string what = "-";
+      try {
+        if (m.vector_enabled) vpu.set_vl(vl);
+        const auto issue_twice = [&] {
+          for (int rep = 0; rep < 2; ++rep) c.issue(vpu, bufs, lens, vl, out);
+        };
+        if (phase == 1) {
+          sim::ScopedPhase scope(vpu.profiler(), 1);
+          issue_twice();
+        } else {
+          issue_twice();
+        }
+      } catch (const std::invalid_argument& e) {
+        what = std::string("invalid_argument: ") + e.what();
+      } catch (const std::logic_error& e) {
+        what = std::string("logic_error: ") + e.what();
+      }
+      std::replace(what.begin(), what.end(), ',', ';');
+      std::uint64_t h = 0xcbf29ce484222325ull;
+      fnv_mix(h, out);
+      fnv_mix(h, bufs.dst);
+      std::vector<double> dst32(std::begin(bufs.dst32), std::end(bufs.dst32));
+      fnv_mix(h, dst32);
+      char hex[40];
+      std::snprintf(hex, sizeof hex, "%016llx,%016llx",
+                    static_cast<unsigned long long>(h),
+                    static_cast<unsigned long long>(obs.hash));
+      os << m.name << ',' << c.name << ',' << shape << ',' << vl << ','
+         << phase << ',' << hex << ',' << what;
+      const sim::PhaseProfiler& prof = vpu.profiler();
+      for (const sim::Counters* counters :
+           {&vpu.counters(), &prof.phase(0), &prof.phase(1)}) {
+        counters->visit([&](const sim::CounterInfo&, const auto& v) {
+          os << ',' << format_cell(v);
+        });
+      }
+      os << '\n';
+    };
+    for (const IsaCase& c : cases) {
+      for (const int vl : {1, 7, m.vlmax}) {
+        for (const int phase : {0, 1}) run(c, "ok", vl, phase);
+      }
+      if (c.operands >= 1) run(c, "empty", 7, 1);
+      if (c.operands >= 2) run(c, "mismatch", 7, 1);
+    }
+  }
+  return os.str();
+}
+
 struct Golden {
   const char* path;
   std::string (*generate)();
@@ -642,6 +984,8 @@ const Golden kAssemblyCounters{VECFD_GOLDEN_DIR "/assembly_counters.csv",
                                generate_assembly_counters_csv};
 const Golden kCgCounters{VECFD_GOLDEN_DIR "/cg_counters.csv",
                          generate_cg_counters_csv};
+const Golden kVpuIsaCounters{VECFD_GOLDEN_DIR "/vpu_isa_counters.csv",
+                             generate_vpu_isa_counters_csv};
 
 std::vector<std::string> lines_of(const std::string& text) {
   std::vector<std::string> out;
@@ -786,6 +1130,20 @@ TEST(GoldenCgCounters, ValuesMatchBitwise) {
   expect_values_bitwise(kCgCounters);
 }
 
+TEST(GoldenVpuIsaCounters, GoldenFileExists) {
+  expect_golden_exists(kVpuIsaCounters);
+}
+
+TEST(GoldenVpuIsaCounters, SchemaIsByteStable) {
+  expect_schema_byte_stable(kVpuIsaCounters);
+}
+
+// Not skipped under sanitizers: the workload's buffers are alignas(128)
+// stack arrays, so its line stream does not depend on operator new.
+TEST(GoldenVpuIsaCounters, ValuesMatchBitwise) {
+  expect_values_bitwise(kVpuIsaCounters);
+}
+
 // Every subkernel with a vector and a scalar lane form runs in both forms
 // somewhere in the golden grid, so the bitwise golden pins both.  phase8
 // is never vectorized (aliasing scatter).
@@ -813,7 +1171,7 @@ int main(int argc, char** argv) {
   if (regen) {
     for (const Golden* g :
          {&kSweep, &kCampaign, &kShardedCounters, &kBicgstabCounters,
-          &kAssemblyCounters, &kCgCounters}) {
+          &kAssemblyCounters, &kCgCounters, &kVpuIsaCounters}) {
       std::ofstream os(g->path, std::ios::binary);
       if (!os) {
         std::fprintf(stderr, "cannot open %s\n", g->path);
