@@ -6,7 +6,7 @@
 // Measurement it points at the phase limiting performance and says *why*
 // (unvectorized loop, short AVL, FSM-unfriendly vector length, cache
 // pressure), citing the compiler model's remark for the offending loop.
-// The `codesign_loop` example drives the full iterate-measure-refactor
+// tests/test_core_advisor.cpp drives the full iterate-measure-refactor
 // cycle with it.
 #pragma once
 

@@ -21,14 +21,25 @@ void Table::add_row(std::vector<std::string> cells) {
   rows_.push_back(std::move(cells));
 }
 
+namespace {
+/// Printed width of a UTF-8 cell: its code points (continuation bytes,
+/// 10xxxxxx, do not start one), so "§4" pads like a two-letter cell.
+std::size_t display_width(const std::string& cell) {
+  return static_cast<std::size_t>(
+      std::count_if(cell.begin(), cell.end(), [](char ch) {
+        return (static_cast<unsigned char>(ch) & 0xC0u) != 0x80u;
+      }));
+}
+}  // namespace
+
 std::string Table::to_string() const {
   std::vector<std::size_t> width(headers_.size());
   for (std::size_t c = 0; c < headers_.size(); ++c) {
-    width[c] = headers_[c].size();
+    width[c] = display_width(headers_[c]);
   }
   for (const auto& row : rows_) {
     for (std::size_t c = 0; c < row.size(); ++c) {
-      width[c] = std::max(width[c], row[c].size());
+      width[c] = std::max(width[c], display_width(row[c]));
     }
   }
   std::ostringstream os;
@@ -36,7 +47,7 @@ std::string Table::to_string() const {
     for (std::size_t c = 0; c < row.size(); ++c) {
       os << (c == 0 ? "| " : " | ");
       os << row[c];
-      os << std::string(width[c] - row[c].size(), ' ');
+      os << std::string(width[c] - display_width(row[c]), ' ');
     }
     os << " |\n";
   };

@@ -52,20 +52,20 @@ AccessResult MemoryHierarchy::access(std::uintptr_t addr) {
   return {3, cfg_.l1_latency + cfg_.l2_latency + cfg_.mem_latency};
 }
 
-double MemoryHierarchy::touch_range(std::uintptr_t addr, std::size_t bytes,
-                                    std::uint64_t* l1_misses_out) {
-  if (bytes == 0) return 0.0;
+RangeAccess MemoryHierarchy::touch_range(std::uintptr_t addr,
+                                         std::size_t bytes) {
+  RangeAccess r;
+  if (bytes == 0) return r;
   const std::uintptr_t first = addr & ~line_mask_;
   const std::uintptr_t last = (addr + bytes - 1) & ~line_mask_;
-  double penalty = 0.0;
-  std::uint64_t misses = 0;
   for (std::uintptr_t a = first; a <= last; a += line_mask_ + 1) {
-    const AccessResult r = access(a);
-    penalty += r.penalty;
-    misses += r.level > 1 ? 1 : 0;
+    const AccessResult hit = access(a);
+    r.penalty += hit.penalty;
+    ++r.lines;
+    r.l1_misses += hit.level > 1 ? 1 : 0;
+    r.l2_misses += hit.level > 2 ? 1 : 0;
   }
-  if (l1_misses_out != nullptr) *l1_misses_out += misses;
-  return penalty;
+  return r;
 }
 
 void MemoryHierarchy::flush() {

@@ -31,6 +31,23 @@ struct AccessResult {
   double penalty = 0.0; ///< extra cycles attributable to this access
 };
 
+/// What one touch_range() call cost: the summed penalty and, per level,
+/// how many of its lines went past that level.
+struct RangeAccess {
+  double penalty = 0.0;         ///< summed extra cycles of the lines
+  std::uint64_t lines = 0;      ///< lines touched (L1 accesses)
+  std::uint64_t l1_misses = 0;  ///< lines not served by L1
+  std::uint64_t l2_misses = 0;  ///< lines served by memory
+
+  RangeAccess& operator+=(const RangeAccess& o) {
+    penalty += o.penalty;
+    lines += o.lines;
+    l1_misses += o.l1_misses;
+    l2_misses += o.l2_misses;
+    return *this;
+  }
+};
+
 /// Inclusive two-level data-cache hierarchy.
 ///
 /// Each `access()` touches one cache line; vector memory instructions call
@@ -59,10 +76,8 @@ class MemoryHierarchy {
   /// Touch the line containing @p addr.
   AccessResult access(std::uintptr_t addr);
 
-  /// Touch every line overlapping [addr, addr + bytes).  Returns the summed
-  /// penalty and the count of L1 misses in @p l1_misses_out (optional).
-  double touch_range(std::uintptr_t addr, std::size_t bytes,
-                     std::uint64_t* l1_misses_out = nullptr);
+  /// Touch every line overlapping [addr, addr + bytes), in address order.
+  RangeAccess touch_range(std::uintptr_t addr, std::size_t bytes);
 
   /// Invalidate all cached lines and forget the canonical address mapping
   /// (e.g. between independent experiments).

@@ -54,13 +54,6 @@ class PhaseProfiler {
   const Counters& phase(int p) const { return phases_.at(p); }
   Counters& phase(int p) { return phases_.at(p); }
 
-  /// Sum over all phases including "outside".
-  Counters total() const {
-    Counters t;
-    for (const Counters& c : phases_) t += c;
-    return t;
-  }
-
   void reset() {
     for (Counters& c : phases_) c = Counters{};
     current_ = 0;

@@ -7,6 +7,19 @@
 
 namespace vecfd::sim {
 
+namespace {
+std::uintptr_t addr(const void* p) {
+  return reinterpret_cast<std::uintptr_t>(p);
+}
+
+void check_same_size(const Vec& a, const Vec& b, const char* what) {
+  if (a.size() != b.size()) {
+    throw std::invalid_argument(std::string("Vpu: operand length mismatch in ") +
+                                what);
+  }
+}
+}  // namespace
+
 Vpu::Vpu(MachineConfig cfg, int num_phases)
     : cfg_(std::move(cfg)),
       timing_(cfg_),
@@ -25,43 +38,35 @@ void Vpu::reset() {
   vl_ = cfg_.vlmax;
 }
 
-void Vpu::record(InstrKind kind, double cycles, int vl_used) {
-  total_.record(kind, cycles, static_cast<std::uint64_t>(vl_used));
-  profiler_.phase(profiler_.current())
-      .record(kind, cycles, static_cast<std::uint64_t>(vl_used));
-  if (observer_ != nullptr) {
-    observer_->on_instr(profiler_.current(), kind, vl_used, cycles);
+// ------------------------------------------------------------ charge path
+
+void Vpu::charge(InstrKind kind, double cycles, int vl, std::uint64_t flops) {
+  const auto lanes = static_cast<std::uint64_t>(vl);
+  for (Counters* c : {&total_, &open_phase()}) {
+    c->record(kind, cycles, lanes);
+    c->flops += flops;
   }
+  if (observer_ != nullptr) {
+    observer_->on_instr(profiler_.current(), kind, vl, cycles);
+  }
+}
+
+template <class T>
+void Vpu::tally(T Counters::*field, std::type_identity_t<T> n) {
+  total_.*field += n;
+  open_phase().*field += n;
+}
+
+double Vpu::tally_cache(const mem::RangeAccess& r) {
+  tally(&Counters::l1_accesses, r.lines);
+  tally(&Counters::l1_misses, r.l1_misses);
+  tally(&Counters::l2_misses, r.l2_misses);
+  return r.penalty;
 }
 
 double Vpu::touch_range(const void* p, std::size_t bytes) {
-  const auto addr = reinterpret_cast<std::uintptr_t>(p);
-  if (bytes == 0) return 0.0;
-  const std::size_t line = cfg_.memory.l1.line_bytes;
-  const std::uintptr_t mask = ~(static_cast<std::uintptr_t>(line) - 1);
-  const std::uintptr_t first = addr & mask;
-  const std::uintptr_t last = (addr + bytes - 1) & mask;
-  double penalty = 0.0;
-  Counters& ph = profiler_.phase(profiler_.current());
-  for (std::uintptr_t a = first;; a += line) {
-    const mem::AccessResult r = mem_.access(a);
-    penalty += r.penalty;
-    ++total_.l1_accesses;
-    ++ph.l1_accesses;
-    if (r.level > 1) {
-      ++total_.l1_misses;
-      ++ph.l1_misses;
-    }
-    if (r.level > 2) {
-      ++total_.l2_misses;
-      ++ph.l2_misses;
-    }
-    if (a == last) break;
-  }
-  return penalty;
+  return tally_cache(mem_.touch_range(addr(p), bytes));
 }
-
-double Vpu::touch_elem(const void* p) { return touch_range(p, 8); }
 
 void Vpu::require_vector(const char* what) const {
   if (!cfg_.vector_enabled) {
@@ -83,7 +88,7 @@ int Vpu::set_vl(int n) {
   require_vector("vsetvl");
   if (n <= 0) throw std::invalid_argument("Vpu::set_vl: n must be positive");
   vl_ = cfg_.clamp_vl(n);
-  record(InstrKind::kVConfig, timing_.vconfig_cycles(), 0);
+  charge(InstrKind::kVConfig, timing_.vconfig_cycles(), 0);
   return vl_;
 }
 
@@ -99,13 +104,32 @@ double Vpu::unit_overlap(int vl) const {
                                             : cfg_.miss_overlap_indexed;
 }
 
+void Vpu::vmem_unit(const void* p, std::size_t bytes, int n) {
+  double cycles = timing_.vmem_unit_cycles(n);
+  cycles += unit_overlap(n) * touch_range(p, bytes);
+  charge(InstrKind::kVMemUnit, cycles, n);
+}
+
+// Each lane touches the line of its own element, in lane order.
+template <class Lane>
+void Vpu::vmem_elems(InstrKind kind, int n, Lane lane) {
+  mem::RangeAccess lines;
+  for (int i = 0; i < n; ++i) {
+    if (const void* q = lane(i)) lines += mem_.touch_range(addr(q), 8);
+  }
+  const bool strided = kind == InstrKind::kVMemStrided;
+  double cycles = strided ? timing_.vmem_strided_cycles(n)
+                          : timing_.vmem_indexed_cycles(n);
+  cycles += (strided ? cfg_.miss_overlap_strided : cfg_.miss_overlap_indexed) *
+            tally_cache(lines);
+  charge(kind, cycles, n);
+}
+
 Vec Vpu::vload(const double* p) {
   require_vector("vload");
   Vec r(vl_);
   for (int i = 0; i < vl_; ++i) r[i] = p[i];
-  double cycles = timing_.vmem_unit_cycles(vl_);
-  cycles += unit_overlap(vl_) * touch_range(p, 8u * vl_);
-  record(InstrKind::kVMemUnit, cycles, vl_);
+  vmem_unit(p, 8u * vl_, vl_);
   return r;
 }
 
@@ -113,24 +137,18 @@ Vec Vpu::vload_i32(const std::int32_t* p) {
   require_vector("vload_i32");
   Vec r(vl_);
   for (int i = 0; i < vl_; ++i) r[i] = static_cast<double>(p[i]);
-  double cycles = timing_.vmem_unit_cycles(vl_);
-  cycles += unit_overlap(vl_) * touch_range(p, 4u * vl_);
-  record(InstrKind::kVMemUnit, cycles, vl_);
+  vmem_unit(p, 4u * vl_, vl_);
   return r;
 }
 
 Vec Vpu::vload_strided(const double* p, std::ptrdiff_t stride_elems) {
   require_vector("vload_strided");
   Vec r(vl_);
-  double penalty = 0.0;
-  for (int i = 0; i < vl_; ++i) {
+  vmem_elems(InstrKind::kVMemStrided, vl_, [&](int i) {
     const double* q = p + stride_elems * i;
     r[i] = *q;
-    penalty += touch_elem(q);
-  }
-  double cycles = timing_.vmem_strided_cycles(vl_);
-  cycles += cfg_.miss_overlap_strided * penalty;
-  record(InstrKind::kVMemStrided, cycles, vl_);
+    return q;
+  });
   return r;
 }
 
@@ -139,40 +157,29 @@ Vec Vpu::vgather(const double* base, const Vec& idx) {
   require_operands(idx, "vgather");
   const int n = idx.size();
   Vec r(n);
-  double penalty = 0.0;
-  const std::size_t line = cfg_.memory.l1.line_bytes;
-  const std::uintptr_t mask = ~(static_cast<std::uintptr_t>(line) - 1);
+  const std::uintptr_t mask =
+      ~(static_cast<std::uintptr_t>(cfg_.memory.l1.line_bytes) - 1);
   gather_lines_scratch_.clear();
   std::uint64_t pads = 0;
-  for (int i = 0; i < n; ++i) {
+  vmem_elems(InstrKind::kVMemIndexed, n, [&](int i) -> const double* {
     const std::ptrdiff_t k = static_cast<std::ptrdiff_t>(idx[i]);
     if (k < 0) {  // masked-off pad lane: +0.0, zero memory traffic
       r[i] = 0.0;
       ++pads;
-      continue;
+      return nullptr;
     }
     const double* q = base + k;
     r[i] = *q;
-    penalty += touch_elem(q);
-    gather_lines_scratch_.push_back(reinterpret_cast<std::uintptr_t>(q) &
-                                    mask);
-  }
+    gather_lines_scratch_.push_back(addr(q) & mask);
+    return q;
+  });
   std::sort(gather_lines_scratch_.begin(), gather_lines_scratch_.end());
   const std::uint64_t lines = static_cast<std::uint64_t>(
       std::unique(gather_lines_scratch_.begin(), gather_lines_scratch_.end()) -
       gather_lines_scratch_.begin());
-  const std::uint64_t lanes =
-      static_cast<std::uint64_t>(n) - pads;
-  Counters& ph = profiler_.phase(profiler_.current());
-  total_.gather_lanes += lanes;
-  ph.gather_lanes += lanes;
-  total_.gather_lines_touched += lines;
-  ph.gather_lines_touched += lines;
-  total_.pad_lanes += pads;
-  ph.pad_lanes += pads;
-  double cycles = timing_.vmem_indexed_cycles(n);
-  cycles += cfg_.miss_overlap_indexed * penalty;
-  record(InstrKind::kVMemIndexed, cycles, n);
+  tally(&Counters::gather_lanes, static_cast<std::uint64_t>(n) - pads);
+  tally(&Counters::gather_lines_touched, lines);
+  tally(&Counters::pad_lanes, pads);
   return r;
 }
 
@@ -181,25 +188,18 @@ void Vpu::vstore(double* p, const Vec& v) {
   require_operands(v, "vstore");
   const int n = v.size();
   for (int i = 0; i < n; ++i) p[i] = v[i];
-  double cycles = timing_.vmem_unit_cycles(n);
-  cycles += unit_overlap(n) * touch_range(p, 8u * n);
-  record(InstrKind::kVMemUnit, cycles, n);
+  vmem_unit(p, 8u * n, n);
 }
 
 void Vpu::vstore_strided(double* p, std::ptrdiff_t stride_elems,
                          const Vec& v) {
   require_vector("vstore_strided");
   require_operands(v, "vstore_strided");
-  const int n = v.size();
-  double penalty = 0.0;
-  for (int i = 0; i < n; ++i) {
+  vmem_elems(InstrKind::kVMemStrided, v.size(), [&](int i) {
     double* q = p + stride_elems * i;
     *q = v[i];
-    penalty += touch_elem(q);
-  }
-  double cycles = timing_.vmem_strided_cycles(n);
-  cycles += cfg_.miss_overlap_strided * penalty;
-  record(InstrKind::kVMemStrided, cycles, n);
+    return q;
+  });
 }
 
 void Vpu::vscatter(double* base, const Vec& idx, const Vec& v) {
@@ -208,390 +208,213 @@ void Vpu::vscatter(double* base, const Vec& idx, const Vec& v) {
   if (idx.size() != v.size()) {
     throw std::invalid_argument("Vpu::vscatter: index/value length mismatch");
   }
-  const int n = v.size();
-  double penalty = 0.0;
-  for (int i = 0; i < n; ++i) {
+  vmem_elems(InstrKind::kVMemIndexed, v.size(), [&](int i) {
     double* q = base + static_cast<std::ptrdiff_t>(idx[i]);
     *q = v[i];
-    penalty += touch_elem(q);
-  }
-  double cycles = timing_.vmem_indexed_cycles(n);
-  cycles += cfg_.miss_overlap_indexed * penalty;
-  record(InstrKind::kVMemIndexed, cycles, n);
+    return q;
+  });
 }
 
 // --------------------------------------------------------- vector arithmetic
 
-namespace {
-void check_same_size(const Vec& a, const Vec& b, const char* what) {
-  if (a.size() != b.size()) {
-    throw std::invalid_argument(std::string("Vpu: operand length mismatch in ") +
-                                what);
+template <class Lane, class... More>
+Vec Vpu::varith(const char* what, ArithOp op, unsigned flops_per_lane,
+                Lane lane, const Vec& a, const More&... more) {
+  require_vector(what);
+  if constexpr (sizeof...(More) == 0) {
+    require_operands(a, what);
+  } else {
+    (check_same_size(a, more, what), ...);
   }
-}
-}  // namespace
-
-Vec Vpu::vadd(const Vec& a, const Vec& b) {
-  require_vector("vadd");
-  check_same_size(a, b, "vadd");
   const int n = a.size();
   Vec r(n);
-  for (int i = 0; i < n; ++i) r[i] = a[i] + b[i];
-  record(InstrKind::kVArith, timing_.varith_cycles(n), n);
-  total_.flops += n;
-  profiler_.phase(profiler_.current()).flops += n;
+  for (int i = 0; i < n; ++i) r[i] = lane(a[i], more[i]...);
+  charge(InstrKind::kVArith, timing_.varith_cycles(n, op), n,
+         std::uint64_t{flops_per_lane} * static_cast<std::uint64_t>(n));
   return r;
+}
+
+Vec Vpu::vadd(const Vec& a, const Vec& b) {
+  return varith("vadd", ArithOp::kSimple, 1,
+                [](double x, double y) { return x + y; }, a, b);
 }
 
 Vec Vpu::vsub(const Vec& a, const Vec& b) {
-  require_vector("vsub");
-  check_same_size(a, b, "vsub");
-  const int n = a.size();
-  Vec r(n);
-  for (int i = 0; i < n; ++i) r[i] = a[i] - b[i];
-  record(InstrKind::kVArith, timing_.varith_cycles(n), n);
-  total_.flops += n;
-  profiler_.phase(profiler_.current()).flops += n;
-  return r;
+  return varith("vsub", ArithOp::kSimple, 1,
+                [](double x, double y) { return x - y; }, a, b);
 }
 
 Vec Vpu::vmul(const Vec& a, const Vec& b) {
-  require_vector("vmul");
-  check_same_size(a, b, "vmul");
-  const int n = a.size();
-  Vec r(n);
-  for (int i = 0; i < n; ++i) r[i] = a[i] * b[i];
-  record(InstrKind::kVArith, timing_.varith_cycles(n), n);
-  total_.flops += n;
-  profiler_.phase(profiler_.current()).flops += n;
-  return r;
+  return varith("vmul", ArithOp::kSimple, 1,
+                [](double x, double y) { return x * y; }, a, b);
 }
 
 Vec Vpu::vdiv(const Vec& a, const Vec& b) {
-  require_vector("vdiv");
-  check_same_size(a, b, "vdiv");
-  const int n = a.size();
-  Vec r(n);
-  for (int i = 0; i < n; ++i) r[i] = a[i] / b[i];
-  record(InstrKind::kVArith, timing_.varith_cycles(n, ArithOp::kDivSqrt), n);
-  total_.flops += n;
-  profiler_.phase(profiler_.current()).flops += n;
-  return r;
+  return varith("vdiv", ArithOp::kDivSqrt, 1,
+                [](double x, double y) { return x / y; }, a, b);
 }
 
 Vec Vpu::vfma(const Vec& a, const Vec& b, const Vec& c) {
-  require_vector("vfma");
-  check_same_size(a, b, "vfma");
-  check_same_size(a, c, "vfma");
-  const int n = a.size();
-  Vec r(n);
-  for (int i = 0; i < n; ++i) r[i] = a[i] * b[i] + c[i];
-  record(InstrKind::kVArith, timing_.varith_cycles(n), n);
-  total_.flops += 2u * n;
-  profiler_.phase(profiler_.current()).flops += 2u * n;
-  return r;
+  return varith("vfma", ArithOp::kSimple, 2,
+                [](double x, double y, double z) { return x * y + z; }, a, b,
+                c);
 }
 
 Vec Vpu::vfnma(const Vec& a, const Vec& b, const Vec& c) {
-  require_vector("vfnma");
-  check_same_size(a, b, "vfnma");
-  check_same_size(a, c, "vfnma");
-  const int n = a.size();
-  Vec r(n);
-  for (int i = 0; i < n; ++i) r[i] = c[i] - a[i] * b[i];
-  record(InstrKind::kVArith, timing_.varith_cycles(n), n);
-  total_.flops += 2u * n;
-  profiler_.phase(profiler_.current()).flops += 2u * n;
-  return r;
+  return varith("vfnma", ArithOp::kSimple, 2,
+                [](double x, double y, double z) { return z - x * y; }, a, b,
+                c);
 }
 
 Vec Vpu::vsqrt(const Vec& a) {
-  require_vector("vsqrt");
-  require_operands(a, "vsqrt");
-  const int n = a.size();
-  Vec r(n);
-  for (int i = 0; i < n; ++i) r[i] = std::sqrt(a[i]);
-  record(InstrKind::kVArith, timing_.varith_cycles(n, ArithOp::kDivSqrt), n);
-  total_.flops += n;
-  profiler_.phase(profiler_.current()).flops += n;
-  return r;
+  return varith("vsqrt", ArithOp::kDivSqrt, 1,
+                [](double x) { return std::sqrt(x); }, a);
 }
 
 Vec Vpu::vcbrt(const Vec& a) {
-  require_vector("vcbrt");
-  require_operands(a, "vcbrt");
-  const int n = a.size();
-  Vec r(n);
-  for (int i = 0; i < n; ++i) r[i] = std::cbrt(a[i]);
-  record(InstrKind::kVArith, timing_.varith_cycles(n, ArithOp::kDivSqrt), n);
-  total_.flops += n;
-  profiler_.phase(profiler_.current()).flops += n;
-  return r;
+  return varith("vcbrt", ArithOp::kDivSqrt, 1,
+                [](double x) { return std::cbrt(x); }, a);
 }
 
 Vec Vpu::vabs(const Vec& a) {
-  require_vector("vabs");
-  require_operands(a, "vabs");
-  const int n = a.size();
-  Vec r(n);
-  for (int i = 0; i < n; ++i) r[i] = std::fabs(a[i]);
-  record(InstrKind::kVArith, timing_.varith_cycles(n), n);
-  total_.flops += n;
-  profiler_.phase(profiler_.current()).flops += n;
-  return r;
+  return varith("vabs", ArithOp::kSimple, 1,
+                [](double x) { return std::fabs(x); }, a);
 }
 
-Vec Vpu::vmax(const Vec& a, const Vec& b) {
-  require_vector("vmax");
-  check_same_size(a, b, "vmax");
-  const int n = a.size();
-  Vec r(n);
-  for (int i = 0; i < n; ++i) r[i] = a[i] > b[i] ? a[i] : b[i];
-  record(InstrKind::kVArith, timing_.varith_cycles(n), n);
-  total_.flops += n;
-  profiler_.phase(profiler_.current()).flops += n;
-  return r;
-}
-
+// The vector-scalar forms are the unary (binary for vfma_s) body with the
+// scalar operand captured in the lane expression.
 Vec Vpu::vadd_s(const Vec& a, double s) {
-  require_vector("vadd_s");
-  require_operands(a, "vadd_s");
-  const int n = a.size();
-  Vec r(n);
-  for (int i = 0; i < n; ++i) r[i] = a[i] + s;
-  record(InstrKind::kVArith, timing_.varith_cycles(n), n);
-  total_.flops += n;
-  profiler_.phase(profiler_.current()).flops += n;
-  return r;
+  return varith("vadd_s", ArithOp::kSimple, 1,
+                [s](double x) { return x + s; }, a);
 }
 
 Vec Vpu::vmul_s(const Vec& a, double s) {
-  require_vector("vmul_s");
-  require_operands(a, "vmul_s");
-  const int n = a.size();
-  Vec r(n);
-  for (int i = 0; i < n; ++i) r[i] = a[i] * s;
-  record(InstrKind::kVArith, timing_.varith_cycles(n), n);
-  total_.flops += n;
-  profiler_.phase(profiler_.current()).flops += n;
-  return r;
+  return varith("vmul_s", ArithOp::kSimple, 1,
+                [s](double x) { return x * s; }, a);
 }
 
 Vec Vpu::vfma_s(const Vec& a, double s, const Vec& c) {
-  require_vector("vfma_s");
-  check_same_size(a, c, "vfma_s");
-  const int n = a.size();
-  Vec r(n);
-  for (int i = 0; i < n; ++i) r[i] = a[i] * s + c[i];
-  record(InstrKind::kVArith, timing_.varith_cycles(n), n);
-  total_.flops += 2u * n;
-  profiler_.phase(profiler_.current()).flops += 2u * n;
-  return r;
+  return varith("vfma_s", ArithOp::kSimple, 2,
+                [s](double x, double z) { return x * s + z; }, a, c);
 }
 
 Vec Vpu::viadd_s(const Vec& a, double s) {
-  require_vector("viadd_s");
-  require_operands(a, "viadd_s");
-  const int n = a.size();
-  Vec r(n);
-  for (int i = 0; i < n; ++i) r[i] = a[i] + s;
-  record(InstrKind::kVArith, timing_.varith_cycles(n), n);
-  return r;
+  return varith("viadd_s", ArithOp::kSimple, 0,
+                [s](double x) { return x + s; }, a);
 }
 
 Vec Vpu::vimul_s(const Vec& a, double s) {
-  require_vector("vimul_s");
-  require_operands(a, "vimul_s");
+  return varith("vimul_s", ArithOp::kSimple, 0,
+                [s](double x) { return x * s; }, a);
+}
+
+template <class Fold>
+double Vpu::vreduce(const char* what, const Vec& a, Fold fold) {
+  require_vector(what);
+  require_operands(a, what);
   const int n = a.size();
-  Vec r(n);
-  for (int i = 0; i < n; ++i) r[i] = a[i] * s;
-  record(InstrKind::kVArith, timing_.varith_cycles(n), n);
+  const double r = fold(a);
+  charge(InstrKind::kVArith, timing_.varith_cycles(n, ArithOp::kReduce), n,
+         static_cast<std::uint64_t>(n));
   return r;
 }
 
 double Vpu::vredsum(const Vec& a) {
-  require_vector("vredsum");
-  require_operands(a, "vredsum");
-  const int n = a.size();
-  double s = 0.0;
-  for (int i = 0; i < n; ++i) s += a[i];
-  record(InstrKind::kVArith, timing_.varith_cycles(n, ArithOp::kReduce), n);
-  total_.flops += n;
-  profiler_.phase(profiler_.current()).flops += n;
-  return s;
+  return vreduce("vredsum", a, [](const Vec& v) {
+    double s = 0.0;
+    for (int i = 0; i < v.size(); ++i) s += v[i];
+    return s;
+  });
 }
 
 double Vpu::vredmax(const Vec& a) {
-  require_vector("vredmax");
-  require_operands(a, "vredmax");
-  const int n = a.size();
-  // NaN-propagating max: a poisoned operand must not yield a clean scale
-  // (the scaled norm would otherwise report 0 for an all-NaN vector).
-  double m = a[0];
-  for (int i = 1; i < n; ++i) {
-    const double v = a[i];
-    m = (v > m || v != v) ? v : m;
-  }
-  record(InstrKind::kVArith, timing_.varith_cycles(n, ArithOp::kReduce), n);
-  total_.flops += n;
-  profiler_.phase(profiler_.current()).flops += n;
-  return m;
+  return vreduce("vredmax", a, [](const Vec& v) {
+    // NaN-propagating max: a poisoned operand must not yield a clean scale
+    // (the scaled norm would otherwise report 0 for an all-NaN vector).
+    double m = v[0];
+    for (int i = 1; i < v.size(); ++i) {
+      const double x = v[i];
+      m = (x > m || x != x) ? x : m;
+    }
+    return m;
+  });
 }
 
 // --------------------------------------------------------------- control lane
 
 Vec Vpu::vsplat(double s) {
   require_vector("vsplat");
-  Vec r(vl_, s);
-  record(InstrKind::kVCtrl, timing_.vctrl_cycles(vl_), vl_);
-  return r;
-}
-
-Vec Vpu::viota() {
-  require_vector("viota");
-  Vec r(vl_);
-  for (int i = 0; i < vl_; ++i) r[i] = static_cast<double>(i);
-  record(InstrKind::kVCtrl, timing_.vctrl_cycles(vl_), vl_);
-  return r;
-}
-
-Vec Vpu::vmerge(const Vec& mask, const Vec& a, const Vec& b) {
-  require_vector("vmerge");
-  check_same_size(mask, a, "vmerge");
-  check_same_size(mask, b, "vmerge");
-  const int n = a.size();
-  Vec r(n);
-  for (int i = 0; i < n; ++i) r[i] = mask[i] != 0.0 ? a[i] : b[i];
-  record(InstrKind::kVCtrl, timing_.vctrl_cycles(n), n);
-  return r;
-}
-
-Vec Vpu::vge_s(const Vec& a, double s) {
-  require_vector("vge_s");
-  require_operands(a, "vge_s");
-  const int n = a.size();
-  Vec r(n);
-  for (int i = 0; i < n; ++i) r[i] = a[i] >= s ? 1.0 : 0.0;
-  record(InstrKind::kVCtrl, timing_.vctrl_cycles(n), n);
-  return r;
+  charge(InstrKind::kVCtrl, timing_.vctrl_cycles(vl_), vl_);
+  return Vec(vl_, s);
 }
 
 // ---------------------------------------------------------------- scalar core
 
+void Vpu::smem(const void* p, std::size_t bytes) {
+  charge(InstrKind::kScalarMem,
+         timing_.scalar_mem_cycles() + touch_range(p, bytes), 0);
+}
+
 double Vpu::sload(const double* p) {
-  const double penalty = touch_elem(p);
-  record(InstrKind::kScalarMem, timing_.scalar_mem_cycles() + penalty, 0);
+  smem(p, 8);
   return *p;
 }
 
 std::int32_t Vpu::sload_i32(const std::int32_t* p) {
-  const double penalty = touch_range(p, 4);
-  record(InstrKind::kScalarMem, timing_.scalar_mem_cycles() + penalty, 0);
+  smem(p, 4);
   return *p;
 }
 
 void Vpu::sstore(double* p, double v) {
   *p = v;
-  const double penalty = touch_elem(p);
-  record(InstrKind::kScalarMem, timing_.scalar_mem_cycles() + penalty, 0);
+  smem(p, 8);
 }
 
 void Vpu::sstore_i32(std::int32_t* p, std::int32_t v) {
   *p = v;
-  const double penalty = touch_range(p, 4);
-  record(InstrKind::kScalarMem, timing_.scalar_mem_cycles() + penalty, 0);
+  smem(p, 4);
+}
+
+// A bulk count: one addition of n·cycles, no per-instruction observer call.
+void Vpu::sarith(std::uint64_t n) {
+  if (n == 0) return;
+  tally(&Counters::scalar_alu_instrs, n);
+  tally(&Counters::scalar_cycles,
+        timing_.scalar_alu_cycles() * static_cast<double>(n));
 }
 
 void Vpu::note_coalesced_lanes(std::uint64_t n) {
-  total_.coalesced_lanes += n;
-  profiler_.phase(profiler_.current()).coalesced_lanes += n;
+  tally(&Counters::coalesced_lanes, n);
 }
 
-void Vpu::note_pad_lanes(std::uint64_t n) {
-  total_.pad_lanes += n;
-  profiler_.phase(profiler_.current()).pad_lanes += n;
-}
+void Vpu::note_pad_lanes(std::uint64_t n) { tally(&Counters::pad_lanes, n); }
 
 void Vpu::note_halo_lines_sent(std::uint64_t n) {
-  total_.halo_lines_sent += n;
-  profiler_.phase(profiler_.current()).halo_lines_sent += n;
+  tally(&Counters::halo_lines_sent, n);
 }
 
 void Vpu::note_halo_lines_recv(std::uint64_t n) {
-  total_.halo_lines_recv += n;
-  profiler_.phase(profiler_.current()).halo_lines_recv += n;
+  tally(&Counters::halo_lines_recv, n);
 }
 
 void Vpu::note_halo_messages(std::uint64_t n) {
-  total_.halo_messages += n;
-  profiler_.phase(profiler_.current()).halo_messages += n;
+  tally(&Counters::halo_messages, n);
 }
 
-void Vpu::sarith(std::uint64_t n) {
-  if (n == 0) return;
-  Counters& ph = profiler_.phase(profiler_.current());
-  const double cycles = timing_.scalar_alu_cycles() * static_cast<double>(n);
-  total_.scalar_alu_instrs += n;
-  ph.scalar_alu_instrs += n;
-  total_.scalar_cycles += cycles;
-  ph.scalar_cycles += cycles;
+double Vpu::sfp(double result, std::uint64_t flops, double cycle_factor) {
+  charge(InstrKind::kScalarAlu, cycle_factor * timing_.scalar_alu_cycles(), 0,
+         flops);
+  return result;
 }
 
-double Vpu::sadd(double a, double b) {
-  record(InstrKind::kScalarAlu, timing_.scalar_alu_cycles(), 0);
-  total_.flops += 1;
-  profiler_.phase(profiler_.current()).flops += 1;
-  return a + b;
-}
-
-double Vpu::ssub(double a, double b) {
-  record(InstrKind::kScalarAlu, timing_.scalar_alu_cycles(), 0);
-  total_.flops += 1;
-  profiler_.phase(profiler_.current()).flops += 1;
-  return a - b;
-}
-
-double Vpu::smul(double a, double b) {
-  record(InstrKind::kScalarAlu, timing_.scalar_alu_cycles(), 0);
-  total_.flops += 1;
-  profiler_.phase(profiler_.current()).flops += 1;
-  return a * b;
-}
-
-double Vpu::sdiv(double a, double b) {
-  // scalar FP divide: several cycles even on the in-order core
-  record(InstrKind::kScalarAlu, 4.0 * timing_.scalar_alu_cycles(), 0);
-  total_.flops += 1;
-  profiler_.phase(profiler_.current()).flops += 1;
-  return a / b;
-}
-
-double Vpu::sfma(double a, double b, double c) {
-  record(InstrKind::kScalarAlu, timing_.scalar_alu_cycles(), 0);
-  total_.flops += 2;
-  profiler_.phase(profiler_.current()).flops += 2;
-  return a * b + c;
-}
-
-double Vpu::sfnma(double a, double b, double c) {
-  record(InstrKind::kScalarAlu, timing_.scalar_alu_cycles(), 0);
-  total_.flops += 2;
-  profiler_.phase(profiler_.current()).flops += 2;
-  return c - a * b;
-}
-
-double Vpu::ssqrt(double a) {
-  record(InstrKind::kScalarAlu, 4.0 * timing_.scalar_alu_cycles(), 0);
-  total_.flops += 1;
-  profiler_.phase(profiler_.current()).flops += 1;
-  return std::sqrt(a);
-}
-
-double Vpu::scbrt(double a) {
-  record(InstrKind::kScalarAlu, 4.0 * timing_.scalar_alu_cycles(), 0);
-  total_.flops += 1;
-  profiler_.phase(profiler_.current()).flops += 1;
-  return std::cbrt(a);
-}
+double Vpu::sadd(double a, double b) { return sfp(a + b, 1); }
+double Vpu::ssub(double a, double b) { return sfp(a - b, 1); }
+double Vpu::smul(double a, double b) { return sfp(a * b, 1); }
+// Divide, sqrt and cbrt take several cycles even on the in-order core.
+double Vpu::sdiv(double a, double b) { return sfp(a / b, 1, 4.0); }
+double Vpu::sfma(double a, double b, double c) { return sfp(a * b + c, 2); }
+double Vpu::sfnma(double a, double b, double c) { return sfp(c - a * b, 2); }
+double Vpu::ssqrt(double a) { return sfp(std::sqrt(a), 1, 4.0); }
+double Vpu::scbrt(double a) { return sfp(std::cbrt(a), 1, 4.0); }
 
 }  // namespace vecfd::sim

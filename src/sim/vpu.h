@@ -8,14 +8,17 @@
 //      TimingModel and the cache hierarchy — reproducing the
 //      counter-based analysis the paper performs with PAPI/Vehave.
 //
-// The instruction vocabulary follows the RISC-V vector extension subset the
-// paper's kernels exercise: vsetvl, unit-stride / strided / indexed loads
-// and stores, elementwise arithmetic (incl. FMA, div, sqrt), reductions,
-// broadcasts and merges, plus the scalar core.
+// The instruction vocabulary is what the kernels issue, a subset of the
+// RISC-V vector extension: vsetvl, unit-stride / strided / indexed loads
+// and stores, elementwise arithmetic (incl. FMA, div, sqrt), reductions and
+// broadcasts, plus the scalar core.  Each instruction class has one body
+// (vpu.cpp) that checks the operands, computes the lanes and charges the
+// counters, and every charge goes through charge() or tally().
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "mem/memory_hierarchy.h"
@@ -92,7 +95,6 @@ class Vpu {
   Vec vsqrt(const Vec& a);
   Vec vcbrt(const Vec& a);  ///< vectorized libm cbrt (EPI vector-math call)
   Vec vabs(const Vec& a);
-  Vec vmax(const Vec& a, const Vec& b);
 
   // vector-scalar forms (vfadd.vf / vfmul.vf / vfmacc.vf ...)
   Vec vadd_s(const Vec& a, double s);
@@ -112,10 +114,7 @@ class Vpu {
   double vredmax(const Vec& a);
 
   // ---- control-lane instructions -------------------------------------------
-  Vec vsplat(double s);               ///< broadcast (vmv.v.f)
-  Vec viota();                        ///< 0,1,2,...,vl-1 (viota.m)
-  Vec vmerge(const Vec& mask, const Vec& a, const Vec& b);  ///< mask? a : b
-  Vec vge_s(const Vec& a, double s);  ///< mask: a[i] >= s ? 1 : 0
+  Vec vsplat(double s);  ///< broadcast (vmv.v.f)
 
   // ---- scalar core ------------------------------------------------------------
   double sload(const double* p);
@@ -156,21 +155,48 @@ class Vpu {
   double scbrt(double a);
 
  private:
-  Vec make_result(std::size_t n) const { return Vec(n); }
+  /// The one charge path of an instruction: records it (class, @p cycles,
+  /// @p vl, @p flops) into the run total and into the open phase, then
+  /// notifies the observer.
+  void charge(InstrKind kind, double cycles, int vl, std::uint64_t flops = 0);
+  /// Adds @p n to one counter of the run total and of the open phase,
+  /// without issuing an instruction (annotations, gather lanes, caches).
+  template <class T>
+  void tally(T Counters::*field, std::type_identity_t<T> n);
+  Counters& open_phase() { return profiler_.phase(profiler_.current()); }
 
-  void record(InstrKind kind, double cycles, int vl_used);
-
-  /// Touch whole lines of [addr, addr+bytes); returns cycle penalty and
-  /// updates cache counters.
+  /// Touch whole lines of [p, p + bytes) and tally the cache counters;
+  /// returns the miss penalty.
   double touch_range(const void* p, std::size_t bytes);
-  /// Touch the single line containing an 8-byte element.
-  double touch_elem(const void* p);
+  /// Tally @p r's line accesses and misses; returns its penalty.
+  double tally_cache(const mem::RangeAccess& r);
 
   void require_vector(const char* what) const;
   void require_operands(const Vec& a, const char* what) const;
 
   /// Miss-latency exposure of a unit-stride access of length @p vl.
   double unit_overlap(int vl) const;
+
+  // ---- one body per instruction class (vpu.cpp) ------------------------
+  /// Elementwise arithmetic: r[i] = lane(a[i], more[i]...).  A lone
+  /// operand must be non-empty; further operands must match a's length.
+  template <class Lane, class... More>
+  Vec varith(const char* what, ArithOp op, unsigned flops_per_lane, Lane lane,
+             const Vec& a, const More&... more);
+  /// Reduction of a non-empty @p a to the scalar core: fold(a).
+  template <class Fold>
+  double vreduce(const char* what, const Vec& a, Fold fold);
+  /// Unit-stride access of @p n lanes over [p, p + bytes).
+  void vmem_unit(const void* p, std::size_t bytes, int n);
+  /// Strided or indexed access of @p n lanes: lane(i) moves lane i and
+  /// returns the element it touched, or nullptr for a masked-off lane.
+  template <class Lane>
+  void vmem_elems(InstrKind kind, int n, Lane lane);
+  /// Scalar load or store of @p bytes at @p p.
+  void smem(const void* p, std::size_t bytes);
+  /// Scalar FP instruction: charges @p cycle_factor ALU cycles and @p flops,
+  /// returns @p result.
+  double sfp(double result, std::uint64_t flops, double cycle_factor = 1.0);
 
   MachineConfig cfg_;
   TimingModel timing_;

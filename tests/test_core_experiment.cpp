@@ -1,6 +1,10 @@
 // Tests for the experiment runner and report rendering.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "core/experiment.h"
 #include "core/report.h"
 #include "sanitizer_support.h"
@@ -161,12 +165,30 @@ TEST(Report, TableAlignsAndCounts) {
   Table t({"phase", "cycles", "share"});
   t.add_row({"6", "123456", "35.1%"});
   t.add_row({"7", "98765", "28.0%"});
-  EXPECT_EQ(t.rows(), 2u);
+  t.add_row({"§2.3", "1", "—"});  // multi-byte UTF-8 cells
+  EXPECT_EQ(t.rows(), 3u);
   const std::string s = t.to_string();
   EXPECT_NE(s.find("| phase"), std::string::npos);
   EXPECT_NE(s.find("| 6"), std::string::npos);
   // header separator present
   EXPECT_NE(s.find("|---"), std::string::npos);
+  // every row's '|' sits in the same printed column (counted in code
+  // points, as a terminal shows them)
+  std::istringstream lines(s);
+  std::string line;
+  std::vector<std::vector<std::size_t>> bars;
+  while (std::getline(lines, line)) {
+    std::vector<std::size_t> at;
+    std::size_t column = 0;
+    for (const char ch : line) {
+      if ((static_cast<unsigned char>(ch) & 0xC0u) == 0x80u) continue;
+      if (ch == '|') at.push_back(column);
+      ++column;
+    }
+    bars.push_back(at);
+  }
+  ASSERT_EQ(bars.size(), 5u);
+  for (const auto& at : bars) EXPECT_EQ(at, bars.front()) << s;
 }
 
 TEST(Report, TableRejectsBadRows) {

@@ -13,6 +13,7 @@ using vecfd::mem::Cache;
 using vecfd::mem::CacheConfig;
 using vecfd::mem::HierarchyConfig;
 using vecfd::mem::MemoryHierarchy;
+using vecfd::mem::RangeAccess;
 
 CacheConfig small_cache() {
   return {.size_bytes = 1024, .line_bytes = 64, .associativity = 2,
@@ -166,17 +167,23 @@ TEST(MemoryHierarchy, MismatchedLineSizesAreRejected) {
 
 TEST(MemoryHierarchy, TouchRangeCountsLines) {
   MemoryHierarchy mh(small_hier());
-  std::uint64_t misses = 0;
   // 129 bytes starting inside a line → 3 lines
-  const double penalty = mh.touch_range(0x100 + 32, 129, &misses);
-  EXPECT_EQ(misses, 3u);
-  EXPECT_DOUBLE_EQ(penalty, 3 * 110.0);
+  const RangeAccess r = mh.touch_range(0x100 + 32, 129);
+  EXPECT_EQ(r.lines, 3u);
+  EXPECT_EQ(r.l1_misses, 3u);
+  EXPECT_EQ(r.l2_misses, 3u);
+  EXPECT_DOUBLE_EQ(r.penalty, 3 * 110.0);
   EXPECT_EQ(mh.l1_accesses(), 3u);
+  // the same lines again: all L1 hits, no penalty
+  const RangeAccess again = mh.touch_range(0x100 + 32, 129);
+  EXPECT_EQ(again.lines, 3u);
+  EXPECT_EQ(again.l1_misses, 0u);
+  EXPECT_DOUBLE_EQ(again.penalty, 0.0);
 }
 
 TEST(MemoryHierarchy, TouchRangeZeroBytesIsFree) {
   MemoryHierarchy mh(small_hier());
-  EXPECT_DOUBLE_EQ(mh.touch_range(0x100, 0), 0.0);
+  EXPECT_DOUBLE_EQ(mh.touch_range(0x100, 0).penalty, 0.0);
   EXPECT_EQ(mh.l1_accesses(), 0u);
 }
 

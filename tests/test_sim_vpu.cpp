@@ -129,15 +129,11 @@ TEST(Vpu, ControlLaneOps) {
   Vpu v = make_vpu();
   v.set_vl(5);
   const Vec s = v.vsplat(3.25);
-  const Vec i = v.viota();
-  const Vec mask = v.vge_s(i, 2.0);
-  const Vec sel = v.vmerge(mask, s, i);
-  for (int k = 0; k < 5; ++k) {
-    EXPECT_DOUBLE_EQ(s[k], 3.25);
-    EXPECT_DOUBLE_EQ(i[k], double(k));
-    EXPECT_DOUBLE_EQ(sel[k], k >= 2 ? 3.25 : double(k));
-  }
-  EXPECT_EQ(v.counters().vctrl_instrs, 4u);
+  ASSERT_EQ(s.size(), 5);
+  for (int k = 0; k < 5; ++k) EXPECT_DOUBLE_EQ(s[k], 3.25);
+  EXPECT_EQ(v.counters().vctrl_instrs, 1u);
+  EXPECT_EQ(v.counters().vl_sum, 5u);
+  EXPECT_EQ(v.counters().flops, 0u);
 }
 
 TEST(Vpu, ReductionSemanticsAndClassification) {
