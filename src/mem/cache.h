@@ -44,6 +44,12 @@ class Cache {
   /// line is installed, evicting the LRU way of its set.
   bool access(std::uintptr_t addr);
 
+  /// Count a hit on a line the caller knows is the most recent way of its
+  /// set.  Re-stamping that way cannot change the LRU order of any set
+  /// (victims are chosen by comparing stamps within one set), so the
+  /// lookup and the stamp bump are skipped.
+  void count_mru_hit() { ++hits_; }
+
   /// Drop all resident lines and reset nothing else (hit/miss counters are
   /// preserved so a flush mid-measurement stays visible in the statistics).
   void flush();
@@ -59,13 +65,15 @@ class Cache {
  private:
   struct Way {
     std::uintptr_t tag = 0;
-    std::uint64_t stamp = 0;  // LRU timestamp; larger == more recent
-    bool valid = false;
+    std::uint64_t stamp = 0;  // LRU timestamp, larger == more recent;
+                              // 0 marks an invalid way
   };
 
   CacheConfig cfg_;
   std::size_t num_sets_;
   unsigned line_shift_;
+  bool pow2_sets_;      // set index by shift and mask, not division
+  unsigned set_shift_;  // log2(num_sets_) when pow2_sets_
   std::vector<Way> ways_;  // num_sets_ * associativity, set-major
   std::uint64_t tick_ = 0;
   std::uint64_t hits_ = 0;

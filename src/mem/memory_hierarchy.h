@@ -1,8 +1,9 @@
 // vecfd::mem — two-level cache hierarchy with latency attribution.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "mem/cache.h"
 
@@ -57,13 +58,32 @@ struct RangeAccess {
 ///
 /// Addresses are canonicalized before they reach the caches: each host
 /// cache line is renamed, in first-touch order, onto a dense simulated
-/// line space with in-line offsets preserved.  Host virtual addresses only
-/// identify a line — where the allocator placed a buffer (ASLR, heap
-/// history, per-thread arenas) cannot influence hit/miss behaviour, so a
-/// measurement is a pure function of its access sequence.  Together with
-/// the line-aligned global allocator (mem/aligned_new.cpp) this makes
-/// sweeps reproducible run-to-run and lets the parallel sweep engine
-/// promise byte-identical results to the serial path.
+/// line space.  Host virtual addresses only identify a line — where the
+/// allocator placed a buffer (ASLR, heap history, per-thread arenas) cannot
+/// influence hit/miss behaviour, so a measurement is a pure function of its
+/// access sequence.  Together with the line-aligned global allocator
+/// (mem/aligned_new.cpp) this makes sweeps reproducible run-to-run and lets
+/// the parallel sweep engine promise byte-identical results to the serial
+/// path.
+///
+/// The renaming lives in a flat line table: an open-addressed index maps
+/// each touched 4 KiB host page to a block of per-line slots (canonical id
+/// and census stamp), with a one-entry cache for the last page.  Nothing
+/// is allocated until the first access, and the table holds indices only,
+/// so the hierarchy stays cheap to build and copyable.
+///
+/// Fast path: once a line has been accessed it is the most recent way of
+/// its L1 set, so an immediate repeat of that line is an L1 hit that
+/// changes no set's LRU order.  `access()` counts it as such without the
+/// table lookup or the way scan.  It is off for a capacity-less L1, where
+/// every access misses, and is reset by `flush()` and `begin_census()`.
+///
+/// Census: `census_lines()` counts the distinct lines touched since the
+/// last `begin_census()` (or `flush()`), by comparing each line's slot
+/// stamp with the current census epoch — O(1) per line, no sorting.
+/// `begin_census()` drops the fast path, so the first access of a census
+/// always reaches its line's stamp.  `Vpu::vgather` uses it for
+/// `gather_lines_touched`.
 class MemoryHierarchy {
  public:
   explicit MemoryHierarchy(HierarchyConfig cfg);
@@ -83,6 +103,11 @@ class MemoryHierarchy {
   /// (e.g. between independent experiments).
   void flush();
 
+  /// Start a new distinct-line census (see the class comment).
+  void begin_census();
+  /// Distinct lines touched since the last begin_census() or flush().
+  std::uint64_t census_lines() const { return census_lines_; }
+
   const HierarchyConfig& config() const { return cfg_; }
   const Cache& l1() const { return l1_; }
   const Cache& l2() const { return l2_; }
@@ -92,15 +117,45 @@ class MemoryHierarchy {
   std::uint64_t l2_misses() const { return l2_.misses(); }
 
  private:
-  /// Map @p addr into the dense first-touch canonical space.
-  std::uintptr_t canonical(std::uintptr_t addr);
+  /// One host line's entry in the line table.
+  struct LineSlot {
+    std::uint32_t id = 0;      ///< canonical line + 1; 0 = not yet touched
+    std::uint32_t census = 0;  ///< census epoch that last counted the line
+  };
+  /// One page-index entry: a host page and its block of line slots.
+  struct PageEntry {
+    std::uintptr_t page = kNoPage;
+    std::uint32_t block = 0;
+  };
+  static constexpr std::uintptr_t kNoPage = ~std::uintptr_t{0};
+  /// Not line-aligned, so never equal to a host line.
+  static constexpr std::uintptr_t kNoLine = ~std::uintptr_t{0};
+
+  /// access() past the fast path: rename @p line and run it through the
+  /// caches.
+  AccessResult access_line(std::uintptr_t line);
+  /// Slot of host @p line, mapped in first-touch order if it is new.
+  LineSlot& slot(std::uintptr_t line);
+  /// Block index of host @p page, adding a zeroed block if it is new.
+  std::uint32_t page_block(std::uintptr_t page);
+  /// Double the page index (or create it) and rehash its entries.
+  void grow_page_index();
 
   HierarchyConfig cfg_;
   Cache l1_;
   Cache l2_;
   std::uintptr_t line_mask_;
-  std::unordered_map<std::uintptr_t, std::uintptr_t> line_map_;
-  std::uintptr_t next_line_ = 0;
+  unsigned line_shift_;
+  unsigned page_shift_;   ///< log2 of the bytes one table block covers
+  bool fast_path_;        ///< L1 keeps lines (it has capacity)
+  std::vector<PageEntry> page_index_;  ///< open addressing, 2^k entries
+  std::uintptr_t last_page_ = kNoPage;
+  std::uint32_t last_block_ = 0;
+  std::vector<LineSlot> lines_;  ///< block b holds lines [b << k, (b+1) << k)
+  std::uint32_t next_line_ = 0;
+  std::uintptr_t mru_line_ = kNoLine;  ///< host line of the last access
+  std::uint32_t census_epoch_ = 1;
+  std::uint64_t census_lines_ = 0;
 };
 
 }  // namespace vecfd::mem

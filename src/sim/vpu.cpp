@@ -1,6 +1,5 @@
 #include "sim/vpu.h"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -157,10 +156,9 @@ Vec Vpu::vgather(const double* base, const Vec& idx) {
   require_operands(idx, "vgather");
   const int n = idx.size();
   Vec r(n);
-  const std::uintptr_t mask =
-      ~(static_cast<std::uintptr_t>(cfg_.memory.l1.line_bytes) - 1);
-  gather_lines_scratch_.clear();
   std::uint64_t pads = 0;
+  // The hierarchy's census counts the distinct lines the real lanes touch.
+  mem_.begin_census();
   vmem_elems(InstrKind::kVMemIndexed, n, [&](int i) -> const double* {
     const std::ptrdiff_t k = static_cast<std::ptrdiff_t>(idx[i]);
     if (k < 0) {  // masked-off pad lane: +0.0, zero memory traffic
@@ -170,15 +168,10 @@ Vec Vpu::vgather(const double* base, const Vec& idx) {
     }
     const double* q = base + k;
     r[i] = *q;
-    gather_lines_scratch_.push_back(addr(q) & mask);
     return q;
   });
-  std::sort(gather_lines_scratch_.begin(), gather_lines_scratch_.end());
-  const std::uint64_t lines = static_cast<std::uint64_t>(
-      std::unique(gather_lines_scratch_.begin(), gather_lines_scratch_.end()) -
-      gather_lines_scratch_.begin());
   tally(&Counters::gather_lanes, static_cast<std::uint64_t>(n) - pads);
-  tally(&Counters::gather_lines_touched, lines);
+  tally(&Counters::gather_lines_touched, mem_.census_lines());
   tally(&Counters::pad_lanes, pads);
   return r;
 }

@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <memory>
 #include <type_traits>
-#include <vector>
 
 #include "mem/memory_hierarchy.h"
 #include "sim/counters.h"
@@ -205,9 +204,6 @@ class Vpu {
   Counters total_;
   InstrObserver* observer_ = nullptr;
   int vl_ = 0;
-  /// Scratch for the per-gather distinct-line count (host-side only; never
-  /// touched by the simulated memory hierarchy).
-  std::vector<std::uintptr_t> gather_lines_scratch_;
 };
 
 }  // namespace vecfd::sim

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <vector>
 
 #include "platforms/platforms.h"
@@ -19,15 +20,21 @@ using vecfd::sim::Vpu;
 
 #ifdef VECFD_MEASUREMENT_GUARD
 
-/// Reacquire the exact heap block just freed: the line-aligned allocator
-/// (mem/aligned_new.cpp) forwards to aligned_alloc, and glibc serves the
-/// freed chunk back for the next same-size request — usually on the first
-/// try.  Extra allocations are parked in @p held so retries make progress.
+/// Reacquire the exact heap block just freed.  The line-aligned allocator
+/// (mem/aligned_new.cpp) forwards to aligned_alloc, whose padded requests
+/// take a freed block back only if glibc happened to coalesce it, so
+/// whether `new` returns it depends on heap history.  A plain malloc of
+/// the block's size is served from glibc's per-size cache of freed chunks,
+/// last in first out, so the block comes back within a few tries.  Misses
+/// are parked in @p held so retries make progress; release all of them
+/// with std::free.
 double* reacquire_block(std::uintptr_t target, std::size_t elems,
-                        std::vector<double*>& held) {
+                        std::vector<void*>& held) {
   for (int attempt = 0; attempt < 256; ++attempt) {
-    double* p = new double[elems];
-    if (reinterpret_cast<std::uintptr_t>(p) == target) return p;
+    void* p = std::malloc(elems * sizeof(double));
+    if (reinterpret_cast<std::uintptr_t>(p) == target) {
+      return static_cast<double*>(p);
+    }
     held.push_back(p);
   }
   return nullptr;
@@ -42,7 +49,7 @@ TEST(MeasurementGuardDeathTest, ReAliasedCanonicalLineAbortsNamingIt) {
         vpu.set_vl(8);
         (void)vpu.vload(a);  // first touch: a's line becomes canonical line 0
         delete[] a;          // mid-measurement free → tombstone
-        std::vector<double*> held;
+        std::vector<void*> held;
         double* b = reacquire_block(target, 16, held);
         ASSERT_NE(b, nullptr) << "allocator never reused the freed block";
         (void)vpu.vload(b);  // re-alias of canonical line 0 → abort
@@ -71,14 +78,14 @@ TEST(MeasurementGuard, FlushClosesTheMeasurementRegion) {
   (void)vpu.vload(a);
   vpu.reset();  // flush: mappings and tombstones forgotten
   delete[] a;
-  std::vector<double*> held;
+  std::vector<void*> held;
   double* b = reacquire_block(target, 16, held);
   if (b != nullptr) {
     (void)vpu.vload(b);  // fresh region: same host line is a fresh mapping
     EXPECT_GT(vpu.counters().total_cycles(), 0.0);
-    delete[] b;
+    std::free(b);
   }
-  for (double* p : held) delete[] p;
+  for (void* p : held) std::free(p);
 }
 
 #else

@@ -77,6 +77,17 @@ std::vector<double> column(const std::vector<double>& blk, int n, int d) {
   return {blk.begin() + off, blk.begin() + off + n};
 }
 
+/// All k columns at once.  A reference Vpu that runs column after column
+/// needs every column it touched alive until it is done: a column freed
+/// mid-measurement and re-allocated at the same address would alias its
+/// canonical lines (DESIGN.md §1; the measurement-guard build aborts).
+std::vector<std::vector<double>> columns(const std::vector<double>& blk,
+                                         int n, int k) {
+  std::vector<std::vector<double>> cols;
+  for (int d = 0; d < k; ++d) cols.push_back(column(blk, n, d));
+  return cols;
+}
+
 TEST(MultiRhsKernels, SpmvMatchesSinglePerColumnAndSharesSlabs) {
   const int n = 97;  // odd: remainder strips
   const int k = 3;
@@ -91,8 +102,9 @@ TEST(MultiRhsKernels, SpmvMatchesSinglePerColumnAndSharesSlabs) {
 
   sim::Vpu vpu_single(platforms::riscv_vec());
   std::vector<double> y(static_cast<std::size_t>(n));
+  const auto xs = columns(X, n, k);
   for (int d = 0; d < k; ++d) {
-    const std::vector<double> xd = column(X, n, d);
+    const std::vector<double>& xd = xs[static_cast<std::size_t>(d)];
     solver::vspmv(vpu_single, ell, xd, y, 64);
     for (int i = 0; i < n; ++i) {
       EXPECT_EQ(Y[static_cast<std::size_t>(d) * n + i], y[i])
@@ -128,12 +140,15 @@ TEST(MultiRhsKernels, Blas1MatchesSinglePerColumn) {
   solver::vcopy_multi(vpu, A, C, k, 32);
 
   sim::Vpu ref(platforms::riscv_vec());
+  const auto as = columns(A, n, k);
+  const auto bs = columns(B, n, k);
+  auto ys = bs;
   for (int d = 0; d < k; ++d) {
-    const std::vector<double> ad = column(A, n, d);
-    const std::vector<double> bd = column(B, n, d);
+    const std::vector<double>& ad = as[static_cast<std::size_t>(d)];
+    const std::vector<double>& bd = bs[static_cast<std::size_t>(d)];
     EXPECT_EQ(dots[static_cast<std::size_t>(d)], solver::vdot(ref, ad, bd, 32))
         << d;
-    std::vector<double> yd = bd;
+    std::vector<double>& yd = ys[static_cast<std::size_t>(d)];
     solver::vaxpy(ref, alpha[static_cast<std::size_t>(d)], ad, yd, 32);
     for (int i = 0; i < n; ++i) {
       EXPECT_EQ(Y[static_cast<std::size_t>(d) * n + i], yd[i]) << d;
@@ -162,8 +177,9 @@ TEST(MultiRhsKernels, SpmvTakesShardLocalColumnBlocks) {
   solver::vspmv_multi(vpu, local, X, Y, k, 16);
   sim::Vpu ref(platforms::riscv_vec());
   std::vector<double> y(static_cast<std::size_t>(local.rows()));
+  const auto xs = columns(X, n, k);
   for (int d = 0; d < k; ++d) {
-    solver::vspmv(ref, local, column(X, n, d), y, 16);
+    solver::vspmv(ref, local, xs[static_cast<std::size_t>(d)], y, 16);
     for (int i = 0; i < local.rows(); ++i) {
       EXPECT_EQ(Y[static_cast<std::size_t>(d * local.rows() + i)], y[i])
           << "col " << d << " row " << i;
