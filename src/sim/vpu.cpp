@@ -214,11 +214,8 @@ template <class Lane, class... More>
 Vec Vpu::varith(const char* what, ArithOp op, unsigned flops_per_lane,
                 Lane lane, const Vec& a, const More&... more) {
   require_vector(what);
-  if constexpr (sizeof...(More) == 0) {
-    require_operands(a, what);
-  } else {
-    (check_same_size(a, more, what), ...);
-  }
+  require_operands(a, what);
+  (check_same_size(a, more, what), ...);
   const int n = a.size();
   Vec r(n);
   for (int i = 0; i < n; ++i) r[i] = lane(a[i], more[i]...);

@@ -177,8 +177,8 @@ class Vpu {
   double unit_overlap(int vl) const;
 
   // ---- one body per instruction class (vpu.cpp) ------------------------
-  /// Elementwise arithmetic: r[i] = lane(a[i], more[i]...).  A lone
-  /// operand must be non-empty; further operands must match a's length.
+  /// Elementwise arithmetic: r[i] = lane(a[i], more[i]...).  @p a must be
+  /// non-empty; further operands must match its length.
   template <class Lane, class... More>
   Vec varith(const char* what, ArithOp op, unsigned flops_per_lane, Lane lane,
              const Vec& a, const More&... more);
