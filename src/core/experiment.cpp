@@ -41,30 +41,6 @@ std::vector<Measurement> Experiment::run_points(
   return out;
 }
 
-std::vector<Measurement> Experiment::sweep_vector_sizes(
-    const sim::MachineConfig& machine, miniapp::MiniAppConfig app,
-    std::span<const int> sizes, int jobs) const {
-  std::vector<SweepPoint> points;
-  points.reserve(sizes.size());
-  for (int vs : sizes) {
-    app.vector_size = vs;
-    points.push_back({machine, app});
-  }
-  return run_points(points, jobs);
-}
-
-std::vector<Measurement> Experiment::sweep_opt_levels(
-    const sim::MachineConfig& machine, miniapp::MiniAppConfig app,
-    std::span<const miniapp::OptLevel> levels, int jobs) const {
-  std::vector<SweepPoint> points;
-  points.reserve(levels.size());
-  for (miniapp::OptLevel o : levels) {
-    app.opt = o;
-    points.push_back({machine, app});
-  }
-  return run_points(points, jobs);
-}
-
 std::vector<Measurement> Experiment::sweep_grid(
     const sim::MachineConfig& machine, miniapp::MiniAppConfig app,
     std::span<const int> sizes, std::span<const miniapp::OptLevel> levels,

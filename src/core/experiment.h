@@ -78,16 +78,6 @@ class Experiment {
   std::vector<Measurement> run_points(std::span<const SweepPoint> points,
                                       int jobs = 0) const;
 
-  /// Sweep VECTOR_SIZE at a fixed optimization level.
-  std::vector<Measurement> sweep_vector_sizes(
-      const sim::MachineConfig& machine, miniapp::MiniAppConfig app,
-      std::span<const int> sizes, int jobs = 0) const;
-
-  /// Sweep optimization levels at a fixed VECTOR_SIZE.
-  std::vector<Measurement> sweep_opt_levels(
-      const sim::MachineConfig& machine, miniapp::MiniAppConfig app,
-      std::span<const miniapp::OptLevel> levels, int jobs = 0) const;
-
   /// The full evaluation grid: sizes × levels on one machine, size-major
   /// (all levels of sizes[0], then sizes[1], ...).
   std::vector<Measurement> sweep_grid(

@@ -73,18 +73,6 @@ std::string fmt_pct(double fraction, int precision) {
   return buf;
 }
 
-std::string fmt_speedup(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.2fx", v);
-  return buf;
-}
-
-std::string fmt_sci(double v, int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.*e", precision, v);
-  return buf;
-}
-
 std::string banner(const std::string& artifact, const std::string& title) {
   std::ostringstream os;
   const std::string line(72, '=');

@@ -18,7 +18,6 @@ class Table {
   std::string to_string() const;
 
   std::size_t rows() const { return rows_.size(); }
-  std::size_t columns() const { return headers_.size(); }
 
  private:
   std::vector<std::string> headers_;
@@ -28,8 +27,6 @@ class Table {
 // number formatting helpers
 std::string fmt(double v, int precision = 2);
 std::string fmt_pct(double fraction, int precision = 1);  ///< 0.42 → "42.0%"
-std::string fmt_speedup(double v);                        ///< 7.6 → "7.60x"
-std::string fmt_sci(double v, int precision = 2);         ///< 1.43e+06
 
 /// Render a title banner for a bench binary, naming the paper artifact.
 std::string banner(const std::string& artifact, const std::string& title);

@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "fem/reference_assembly.h"
+#include "fem/element_geometry.h"
 
 namespace vecfd::fem {
 

@@ -21,9 +21,9 @@
 // host-side and uncounted: L / M_L / Mdt are built once per campaign and
 // amortize over every time step, and the per-step D/Ĝ evaluations feed the
 // instrumented phase-10/11 kernels that the co-design analysis targets.
-// The geometry pipeline (Jacobian → gpcar → gpvol) reuses the expression
-// order of fem/reference_assembly.cpp so all operators see identical
-// element geometry.  See DESIGN.md §4.
+// The geometry pipeline (Jacobian → gpcar → gpvol) is the one of
+// fem/element_geometry.h, so all operators see identical element
+// geometry.  See DESIGN.md §4.
 #pragma once
 
 #include <span>

@@ -41,13 +41,13 @@ std::array<double, kDim * kNodes> shape_derivatives(
   return dn;
 }
 
-ShapeTable::ShapeTable(const HexQuadrature& quad) : ng_(quad.size()) {
-  if (ng_ != kGauss) {
+ShapeTable::ShapeTable(const HexQuadrature& quad) {
+  if (quad.size() != kGauss) {
     throw std::invalid_argument(
         "ShapeTable: the assembly kernels are specialized for the 2x2x2 rule "
         "(8 Gauss points)");
   }
-  for (int g = 0; g < ng_; ++g) {
+  for (int g = 0; g < kGauss; ++g) {
     const auto nv = shape_values(quad.point(g));
     const auto dv = shape_derivatives(quad.point(g));
     for (int a = 0; a < kNodes; ++a) n_[g * kNodes + a] = nv[a];

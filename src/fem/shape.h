@@ -31,10 +31,7 @@ class ShapeTable {
   /// Quadrature weight of Gauss point g.
   double weight(int g) const { return w_[g]; }
 
-  int num_gauss() const { return ng_; }
-
  private:
-  int ng_ = 0;
   std::array<double, kGauss * kNodes> n_{};
   std::array<double, kGauss * kDim * kNodes> dn_{};
   std::array<double, kGauss> w_{};

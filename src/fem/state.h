@@ -43,9 +43,6 @@ class State {
 
   double velocity(int node, int dim) const { return unk_[node * kDofs + dim]; }
   double pressure(int node) const { return unk_[node * kDofs + kDim]; }
-  double velocity_old(int node, int dim) const {
-    return unk_old_[node * kDofs + dim];
-  }
 
   /// Advance: current becomes old; @p new_velocity ([node][kDim]) becomes
   /// current velocity (pressure is carried over).

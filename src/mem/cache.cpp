@@ -67,10 +67,4 @@ void Cache::flush() {
   for (Way& w : ways_) w.stamp = 0;
 }
 
-std::size_t Cache::resident_lines() const {
-  std::size_t n = 0;
-  for (const Way& w : ways_) n += w.stamp != 0 ? 1 : 0;
-  return n;
-}
-
 }  // namespace vecfd::mem

@@ -55,12 +55,8 @@ class Cache {
   void flush();
 
   const CacheConfig& config() const { return cfg_; }
-  std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
   std::uint64_t accesses() const { return hits_ + misses_; }
-
-  /// Number of lines currently resident (for tests / introspection).
-  std::size_t resident_lines() const;
 
  private:
   struct Way {

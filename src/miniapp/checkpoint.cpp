@@ -302,9 +302,8 @@ void hash_fields(Fnv& h, const solver::PrecondOptions& p) {
 }
 
 void hash_fields(Fnv& h, const solver::SolveOptions& o) {
-  const auto& [max_iterations, rel_tolerance, jacobi_precondition, precond,
-               inject_breakdown] = o;
-  h.add(max_iterations, rel_tolerance, jacobi_precondition);
+  const auto& [max_iterations, rel_tolerance, precond, inject_breakdown] = o;
+  h.add(max_iterations, rel_tolerance);
   hash_fields(h, precond);
   (void)inject_breakdown;  // set per solve by the TimeLoop from cfg.fault
 }

@@ -52,19 +52,4 @@ void ElementChunk::reset(int first_element, int count) {
   count_ = count;
 }
 
-std::size_t ElementChunk::footprint_bytes() const {
-  std::size_t bytes = 0;
-  bytes += lnods_.size() * sizeof(std::int32_t);
-  bytes += valid_.size() * sizeof(std::int32_t);
-  bytes += etype_.size() * sizeof(std::int32_t);
-  bytes += (dtfac_.size() + elcod_.size() + elunk_.size() +
-            elvel_old_.size() + jtmp_.size() + itmp_.size() + gpcar_.size() +
-            gpvol_.size() + gpvel_.size() + gpadv_.size() + gpgve_.size() +
-            gppre_.size() + tau_.size() + gprhs_.size() + gppre_t_.size() +
-            mass_.size() + dmat_.size() + wmat_.size() + conv_.size() +
-            visc_.size() + block_.size() + elrhs_.size()) *
-           sizeof(double);
-  return bytes;
-}
-
 }  // namespace vecfd::miniapp

@@ -108,10 +108,6 @@ class ElementChunk {
     return elrhs_.data() + (d * fem::kNodes + a) * vs_;
   }
 
-  /// Total workspace footprint in bytes (drives the Figure 9 / Table 6
-  /// cache behaviour as VECTOR_SIZE grows).
-  std::size_t footprint_bytes() const;
-
  private:
   int vs_ = 0;
   int count_ = 0;

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "fem/mesh.h"
-#include "fem/reference_assembly.h"
 #include "fem/shape.h"
 #include "fem/state.h"
 #include "miniapp/chunk.h"

@@ -134,10 +134,4 @@ void conv_block(const double* wmat, const double* dmat, double* conv,
   }
 }
 
-double checksum(const double* p, std::size_t n) {
-  double s = 0.0;
-  for (std::size_t i = 0; i < n; ++i) s += p[i];
-  return s;
-}
-
 }  // namespace vecfd::miniapp::native

@@ -47,7 +47,4 @@ void phase1_split(const std::int32_t* mesh_lnods, const std::int32_t* elmat,
 void conv_block(const double* wmat, const double* dmat, double* conv,
                 int vs);
 
-/// Checksum helper so benchmarks keep results observable.
-double checksum(const double* p, std::size_t n);
-
 }  // namespace vecfd::miniapp::native

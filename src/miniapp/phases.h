@@ -9,7 +9,8 @@
 // single source of truth covers the scalar baseline, the vanilla
 // auto-vectorized build and the VEC2 / IVEC2 / VEC1 source
 // transformations.  Both forms compute identical values, which the test
-// suite checks against fem::assemble_element.
+// suite checks against the reference assembly test oracle
+// (tests/support/reference_assembly.h).
 #pragma once
 
 #include <vector>

@@ -57,8 +57,6 @@ struct Scenario {
   std::function<std::array<double, fem::kDofs>(const fem::Mesh&, int node,
                                                double t)>
       analytic;
-
-  bool has_analytic() const { return static_cast<bool>(analytic); }
 };
 
 Scenario scenario_cavity();

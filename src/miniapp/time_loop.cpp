@@ -175,10 +175,7 @@ std::unique_ptr<solver::ShardedCg> TimeLoop::make_sharded(const sim::Vpu& vpu,
   // every other combination runs the legacy single-Vpu path, which is the
   // bit-identical reference anyway.
   if (cfg_.shards <= 1 || !vpu.config().vector_enabled) return nullptr;
-  if (cfg_.precond != solver::PrecondKind::kJacobi ||
-      !cfg_.pressure.jacobi_precondition) {
-    return nullptr;
-  }
+  if (cfg_.precond != solver::PrecondKind::kJacobi) return nullptr;
   try {
     fem::MeshPartition part = fem::partition_mesh(
         *mesh_, cfg_.shards, slice,

@@ -52,9 +52,6 @@ enum class CounterCsv {
 constexpr bool in_sweep_csv(CounterCsv c) { return c != CounterCsv::kNone; }
 constexpr bool in_campaign_csv(CounterCsv c) { return c == CounterCsv::kBoth; }
 
-constexpr bool is_scalar_class(CounterClass c) {
-  return c == CounterClass::kScalarAlu || c == CounterClass::kScalarMem;
-}
 constexpr bool is_vector_memory_class(CounterClass c) {
   return c == CounterClass::kVMemUnit || c == CounterClass::kVMemStrided ||
          c == CounterClass::kVMemIndexed;
@@ -222,9 +219,6 @@ struct Counters {
   }
 
   // ---- derived totals (generated from the class tags) --------------------
-  std::uint64_t scalar_instrs() const {
-    return class_sum([](CounterClass c) { return is_scalar_class(c); });
-  }
   std::uint64_t vmem_instrs() const {
     return class_sum([](CounterClass c) { return is_vector_memory_class(c); });
   }

@@ -67,7 +67,6 @@ struct FaultSpec {
   FaultKind kind = FaultKind::kNone;
   int step = 0;  ///< 0-based step index at which the fault fires
 
-  bool armed() const { return kind != FaultKind::kNone; }
   /// Does a fault of kind @p k fire at step @p at_step of this run?
   bool fires(FaultKind k, int at_step) const {
     return kind == k && step == at_step;

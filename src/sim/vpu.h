@@ -43,7 +43,6 @@ class Vpu {
 
   // ---- configuration & state ------------------------------------------
   const MachineConfig& config() const { return cfg_; }
-  const TimingModel& timing() const { return timing_; }
   mem::MemoryHierarchy& memory() { return mem_; }
   const mem::MemoryHierarchy& memory() const { return mem_; }
   PhaseProfiler& profiler() { return profiler_; }

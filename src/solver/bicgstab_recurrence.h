@@ -1,9 +1,9 @@
 // vecfd::solver — the ONE BiCGStab recurrence, written against a blocked
 // execution space.
 //
-// solver::bicgstab_multi runs it on the host and solver::vbicgstab_multi on
-// a single instrumented Vpu; the single-RHS bicgstab and vbicgstab are its
-// k = 1 block.  k node-major columns (column d spans [d·n, (d+1)·n)) advance
+// solver::vbicgstab_multi runs it on a single instrumented Vpu, and the
+// host test oracle (tests/support/host_bicgstab.h) with plain loops; the
+// single-RHS vbicgstab is its k = 1 block.  k node-major columns (column d spans [d·n, (d+1)·n)) advance
 // in lockstep, each with its own Krylov scalars and its own convergence /
 // breakdown lifecycle, so column d of a block returns bit-for-bit the
 // iterate of a k = 1 solve on b_d.  The recurrence decides WHAT is computed

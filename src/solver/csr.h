@@ -62,8 +62,4 @@ class CsrMatrix {
 /// constructor; values follow their entries.
 CsrMatrix permute_symmetric(const CsrMatrix& a, std::span<const int> perm);
 
-/// Bandwidth max |r − c| over the pattern — the quantity RCM minimizes and
-/// the gather-locality proxy the mesh tests assert on.
-int bandwidth(const CsrMatrix& a);
-
 }  // namespace vecfd::solver

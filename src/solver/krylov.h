@@ -1,4 +1,11 @@
-// vecfd::solver — Krylov solvers with optional Jacobi preconditioning.
+// vecfd::solver — the Krylov solve contract (SolveOptions, SolveReport,
+// the preconditioner ladder's kinds) and the host CG.
+//
+// The host cg runs the recurrence of solver/cg_recurrence.h with plain
+// loops; the deflation rung's coarse solve uses it.  The instrumented
+// solvers are in solver/vkernels.h.  The host BiCGStab (bicgstab,
+// bicgstab_multi) is a test oracle and lives with the tests
+// (tests/support/host_bicgstab.h).
 #pragma once
 
 #include <functional>
@@ -11,15 +18,18 @@
 
 namespace vecfd::solver {
 
-/// Preconditioner ladder for the SPD (phase-10 pressure-Poisson) solve,
-/// weakest to strongest.  Every rung above kJacobi is built from the same
-/// instrumented kernels the counter model already prices (DESIGN.md §8);
-/// only the SPD vcg path accepts the higher rungs — the nonsymmetric
-/// bicgstab solvers reject them loudly.
+/// Preconditioner ladder for the SPD (phase-10 pressure-Poisson) solve:
+/// kNone, then kJacobi to kDeflate weakest to strongest.  Every rung above
+/// kJacobi is built from the same instrumented kernels the counter model
+/// already prices (DESIGN.md §8); only the SPD vcg path accepts the higher
+/// rungs — every other solver runs kNone or kJacobi and rejects the rest
+/// loudly.  kNone comes last so the other enumerators keep the values the
+/// checkpoint config hash reads.
 enum class PrecondKind {
   kJacobi,   ///< inverse diagonal (current behaviour, bit-identical)
   kCheby,    ///< Chebyshev polynomial in the Jacobi-scaled operator
   kDeflate,  ///< Jacobi + two-level coarse correction (aggregates)
+  kNone,     ///< un-preconditioned (z = r)
 };
 
 constexpr const char* to_string(PrecondKind k) {
@@ -27,12 +37,14 @@ constexpr const char* to_string(PrecondKind k) {
     case PrecondKind::kJacobi:  return "jacobi";
     case PrecondKind::kCheby:   return "cheby";
     case PrecondKind::kDeflate: return "deflate";
+    case PrecondKind::kNone:    return "none";
   }
   return "?";
 }
 
 /// CLI spelling -> kind; returns false on an unknown name (the vecfd-run
-/// --precond exit-2 contract reports the offending value).
+/// --precond exit-2 contract reports the offending value).  kNone has no
+/// CLI spelling.
 bool precond_from_string(std::string_view name, PrecondKind& out);
 
 /// Knobs for the non-trivial rungs.  Defaults are the studied operating
@@ -61,7 +73,7 @@ struct PrecondOptions {
   /// Fine row -> aggregate id (size n, ids dense in [0, num aggregates)).
   /// The TimeLoop fills this from fem::structured_aggregates composed
   /// with the active solve ordering; empty aggregates are rejected.
-  std::vector<int> aggregates;
+  std::vector<int> aggregates{};
   /// Host coarse-solve (CG on the Galerkin operator PᵀAP) controls.
   int coarse_max_iterations = 500;
   double coarse_rel_tolerance = 1e-12;
@@ -70,10 +82,7 @@ struct PrecondOptions {
 struct SolveOptions {
   int max_iterations = 1000;
   double rel_tolerance = 1e-10;  ///< on ‖r‖₂ / ‖b‖₂
-  /// false disables preconditioning entirely (precond.kind is ignored and
-  /// the solve runs un-preconditioned, as before the ladder existed).
-  bool jacobi_precondition = true;
-  /// Which ladder rung to run when preconditioning is enabled.
+  /// Which ladder rung to run (precond.kind = kNone: un-preconditioned).
   PrecondOptions precond;
   /// Deterministic fault hook (sim/fault_injection.h): when set, the CG
   /// recurrence (cg, vcg and ShardedCg alike) fails immediately through
@@ -84,8 +93,8 @@ struct SolveOptions {
 };
 
 /// Reporting contract, honoured on EVERY exit path of every solver in this
-/// library (cg/bicgstab, the instrumented vcg/vbicgstab, and the multi-RHS
-/// bicgstab_multi/vbicgstab_multi per column):
+/// library (cg, the instrumented vcg/vbicgstab, and the multi-RHS
+/// vbicgstab_multi per column) and of the host BiCGStab test oracle:
 ///
 ///   * `residual` equals the true relative residual ‖b − A·x‖₂ / ‖b‖₂ of
 ///     the returned `x` — a Krylov breakdown (cg: p·Ap = 0; bicgstab:
@@ -137,7 +146,8 @@ std::vector<SolveReport>& checked(std::vector<SolveReport>& reps);
 
 /// The ladder beyond Jacobi lives in the SPD vcg path only
 /// (solver/preconditioner.h); every other solver calls this to reject the
-/// higher rungs loudly instead of silently running Jacobi.
+/// higher rungs loudly instead of silently running Jacobi (kNone and
+/// kJacobi pass).
 /// @throws std::invalid_argument naming @p who and the rejected rung.
 void require_jacobi_rung(const SolveOptions& opts, const char* who);
 
@@ -145,26 +155,6 @@ void require_jacobi_rung(const SolveOptions& opts, const char* who);
 /// pressure Poisson operator or the pure-viscous momentum matrix).
 SolveReport cg(const CsrMatrix& a, std::span<const double> b,
                std::span<double> x, const SolveOptions& opts = {});
-
-/// BiCGStab — for the nonsymmetric semi-implicit momentum operator
-/// (convection makes it non-self-adjoint).  bicgstab_multi at k = 1.
-SolveReport bicgstab(const CsrMatrix& a, std::span<const double> b,
-                     std::span<double> x, const SolveOptions& opts = {});
-
-/// Multi-RHS BiCGStab: solves A·x_d = b_d for k right-hand sides sharing
-/// one operator.  @p b and @p x hold k node-major columns (column d spans
-/// [d·n, (d+1)·n)); the k recurrences are mathematically independent and
-/// advanced in lockstep, each with its own Krylov scalars and its own
-/// convergence / breakdown lifecycle, so column d returns bit-for-bit the
-/// iterate `bicgstab(a, b_d, x_d)` would.  The recurrence is the one of
-/// solver/bicgstab_recurrence.h, which `vbicgstab_multi`
-/// (solver/vkernels.h) runs on a Vpu.  A column that converges or breaks
-/// down is masked out of all further work.  One SolveReport per column,
-/// each honouring the full contract above.
-std::vector<SolveReport> bicgstab_multi(const CsrMatrix& a,
-                                        std::span<const double> b,
-                                        std::span<double> x, int k,
-                                        const SolveOptions& opts = {});
 
 /// Inverse-diagonal of @p a (the Jacobi preconditioner).
 /// @throws std::runtime_error on a zero diagonal entry.

@@ -85,7 +85,7 @@ void Preconditioner::setup(sim::Vpu& vpu, const CsrMatrix& a,
   // or touches Vpu memory until the (kCheby-only) power iterations
   op_ = &op;
   setup_host(a, opts);
-  if (kind_ == PrecondKind::kCheby && !identity_) {
+  if (kind_ == PrecondKind::kCheby) {
     setup_cheby_bounds(vpu, strip);
   }
 }
@@ -93,8 +93,7 @@ void Preconditioner::setup(sim::Vpu& vpu, const CsrMatrix& a,
 void Preconditioner::setup_host(const CsrMatrix& a, const SolveOptions& opts) {
   n_ = a.rows();
   kind_ = opts.precond.kind;
-  identity_ = !opts.jacobi_precondition;
-  if (identity_) {
+  if (kind_ == PrecondKind::kNone) {
     dinv_.clear();  // vjacobi_apply on an empty diagonal degrades to copy
     return;
   }
@@ -210,8 +209,8 @@ void Preconditioner::setup_cheby_bounds(sim::Vpu& vpu, int strip) {
     std::swap(pw_v_, pw_w_);
     vscal(vpu, 1.0 / lam, pw_v_, strip);             // v = w / ‖w‖
   }
-  lambda_max_ = lam > 0.0 && std::isfinite(lam) ? lam : 1.0;
-  const double hi = lambda_max_ * boost_;
+  const double lambda_max = lam > 0.0 && std::isfinite(lam) ? lam : 1.0;
+  const double hi = lambda_max * boost_;
   const double lo = hi / ratio_;
   theta_ = 0.5 * (hi + lo);
   delta_ = 0.5 * (hi - lo);
@@ -219,7 +218,7 @@ void Preconditioner::setup_cheby_bounds(sim::Vpu& vpu, int strip) {
 
 void Preconditioner::apply(sim::Vpu& vpu, std::span<const double> r,
                            std::span<double> z, int strip) {
-  if (identity_ || kind_ == PrecondKind::kJacobi) {
+  if (kind_ == PrecondKind::kNone || kind_ == PrecondKind::kJacobi) {
     // bit-identical to the historic inline Jacobi (or plain copy) path
     vjacobi_apply(vpu, dinv_, r, z, strip);
     return;

@@ -1,7 +1,9 @@
 // vecfd::solver — the phase-10 preconditioner ladder (DESIGN.md §8).
 //
-// Three rungs for the SPD pressure-Poisson vcg, weakest to strongest:
+// Four rungs for the SPD pressure-Poisson vcg, weakest to strongest:
 //
+//   kNone     z = r — un-preconditioned CG.  Like kJacobi, setup issues
+//             no Vpu instructions (the apply is the empty-diagonal copy).
 //   kJacobi   z = D⁻¹ r — the historic behaviour.  Setup issues NO Vpu
 //             instructions and touches no Vpu memory, so selecting this
 //             rung reproduces the pre-ladder vcg instruction stream bit
@@ -59,13 +61,14 @@ namespace vecfd::solver {
 
 class Preconditioner {
  public:
-  /// Build the rung selected by @p opts (precond.kind; jacobi_precondition
-  /// == false degrades to the identity, i.e. un-preconditioned CG) for
-  /// operator @p a mirrored as @p op.  Host-side construction happens
+  /// Build the rung selected by @p opts (precond.kind; kNone is the
+  /// identity, i.e. un-preconditioned CG) for operator @p a mirrored as
+  /// @p op.  Host-side construction happens
   /// before any instruction is issued; kCheby then runs its instrumented
   /// power iterations.  @p op must stay alive and assigned to @p a for the
   /// lifetime of subsequent apply() calls.
-  /// @throws std::runtime_error on a zero diagonal (all rungs use D⁻¹).
+  /// @throws std::runtime_error on a zero diagonal (every rung but kNone
+  ///         uses D⁻¹).
   /// @throws std::invalid_argument on malformed deflation aggregates.
   void setup(sim::Vpu& vpu, const CsrMatrix& a, const OperatorMirror& op,
              const SolveOptions& opts, int strip);
@@ -76,15 +79,6 @@ class Preconditioner {
 
   PrecondKind kind() const { return kind_; }
 
-  // Chebyshev diagnostics (valid after a kCheby setup) — the estimated
-  // λmax of D⁻¹A and the target interval [a, b] (exposed for tests).
-  double lambda_max() const { return lambda_max_; }
-  double interval_lo() const { return theta_ - delta_; }
-  double interval_hi() const { return theta_ + delta_; }
-
-  /// Number of coarse unknowns (valid after a kDeflate setup).
-  int coarse_rows() const { return coarse_rows_; }
-
  private:
   void setup_host(const CsrMatrix& a, const SolveOptions& opts);
   void setup_cheby_bounds(sim::Vpu& vpu, int strip);
@@ -94,7 +88,6 @@ class Preconditioner {
                      std::span<double> z, int strip);
 
   PrecondKind kind_ = PrecondKind::kJacobi;
-  bool identity_ = false;  ///< jacobi_precondition == false
   const OperatorMirror* op_ = nullptr;
   int n_ = 0;
   std::vector<double> dinv_;
@@ -105,7 +98,6 @@ class Preconditioner {
   int power_its_ = 8;
   double boost_ = 1.1;
   double ratio_ = 30.0;
-  double lambda_max_ = 0.0;
   double theta_ = 1.0;
   double delta_ = 0.5;
   std::vector<double> pw_v_, pw_w_;   // power-iteration vectors

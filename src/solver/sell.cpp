@@ -71,7 +71,6 @@ void SellMatrix::assign(const CsrMatrix& a, int slice_height,
   vals_.assign(cells, 0.0);
   cols_.assign(cells, -1);
   coal_.assign(static_cast<std::size_t>(slabs), -1);
-  pad_cells_ = 0;
   for (int s = 0; s < num_slices_; ++s) {
     const int nr = slice_rows(s);
     const std::int32_t* ids = row_ids(s);
@@ -94,7 +93,6 @@ void SellMatrix::assign(const CsrMatrix& a, int slice_height,
           // masked pad: the gather lane reads +0.0 with no memory traffic
           sv[k] = 0.0;
           sc[k] = -1;
-          ++pad_cells_;
           unit_run = false;
         }
       }

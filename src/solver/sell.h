@@ -51,7 +51,6 @@ class SellMatrix {
 
   int rows() const { return rows_; }
   int slice_height() const { return c_; }
-  int sigma() const { return sigma_; }
   int num_slices() const { return num_slices_; }
 
   /// Lanes in slice s (slice_height, smaller for the tail slice).
@@ -97,13 +96,8 @@ class SellMatrix {
                static_cast<std::size_t>(j)];
   }
 
-  /// The row permutation: permutation()[q] is the original row stored at
-  /// sorted position q (lane q % C of slice q / C).
-  const std::vector<std::int32_t>& permutation() const { return row_ids_; }
-
   // ---- layout statistics (benches/tests) -------------------------------
   std::uint64_t cells() const { return cells_; }          ///< Σ width·rows
-  std::uint64_t pad_cells() const { return pad_cells_; }  ///< masked cells
 
  private:
   int rows_ = 0;
@@ -111,7 +105,6 @@ class SellMatrix {
   int sigma_ = 0;      ///< sort-window length in rows
   int num_slices_ = 0;
   std::uint64_t cells_ = 0;
-  std::uint64_t pad_cells_ = 0;
   std::vector<int> width_;             // [slice]
   std::vector<std::size_t> off_;       // [slice] → vals_/cols_ offset
   std::vector<int> slab_off_;          // [slice] → coal_ offset (Σ widths)

@@ -317,8 +317,7 @@ SolveReport ShardedCg::solve(sim::Vpu& coord, std::span<const double> b,
   if (static_cast<int>(n) != plan_.size() || x.size() != n) {
     throw std::invalid_argument("ShardedCg::solve: dimension mismatch");
   }
-  if (!opts.jacobi_precondition ||
-      opts.precond.kind != PrecondKind::kJacobi) {
+  if (opts.precond.kind != PrecondKind::kJacobi) {
     throw std::invalid_argument(
         "ShardedCg::solve: only the kJacobi rung is sharded (other rungs "
         "take the legacy single-Vpu path)");

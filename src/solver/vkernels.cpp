@@ -649,7 +649,7 @@ struct VpuBlockSpace {
     ws.op.assign(a, format, mirror_slice_height(strip, vpu.config()));
   }
   void setup_precond(const SolveOptions& opts) {
-    if (opts.jacobi_precondition) {
+    if (opts.precond.kind != PrecondKind::kNone) {
       jacobi_inverse_diagonal_into(a, ws.dinv);
     } else {
       ws.dinv.clear();

@@ -17,7 +17,7 @@
 //   * vcg runs the one CG recurrence of solver/cg_recurrence.h (shared
 //     with the host cg and the sharded solver::ShardedCg) on a single Vpu;
 //     vbicgstab_multi runs the one BiCGStab recurrence of
-//     solver/bicgstab_recurrence.h (shared with the host bicgstab_multi),
+//     solver/bicgstab_recurrence.h (shared with the host test oracle),
 //     and vbicgstab is its k = 1 block.  Both keep the breakdown-reporting
 //     contract of krylov.h and agree with the host solvers to solver
 //     tolerance.
@@ -369,7 +369,7 @@ SolveReport vbicgstab(sim::Vpu& vpu, const CsrMatrix& a,
                       SpmvFormat format = SpmvFormat::kEll);
 
 /// The shared BiCGStab recurrence (solver/bicgstab_recurrence.h, the
-/// host bicgstab_multi's too) on one Vpu, built on the blocked kernels
+/// host test oracle's too) on one Vpu, built on the blocked kernels
 /// above: k node-major columns advance in lockstep, the k Krylov
 /// recurrences stay independent (per-column scalars, convergence and
 /// breakdown lifecycle — one SolveReport per column under the full

@@ -38,6 +38,5 @@ OlsResult ols_fit(const std::vector<std::vector<double>>& xs,
 // ---- small summary-statistics helpers used by reports and tests ---------
 double mean(std::span<const double> v);
 double variance(std::span<const double> v);  ///< population variance
-double pearson(std::span<const double> a, std::span<const double> b);
 
 }  // namespace vecfd::stats

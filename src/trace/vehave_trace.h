@@ -31,10 +31,12 @@ class VehaveTrace final : public sim::InstrObserver {
     records_.reserve(capacity_ < 4096 ? capacity_ : 4096);
   }
 
+  /// Records VPU instructions only (Vehave's behaviour); scalar ones just
+  /// advance the sequence number.
   void on_instr(int phase, sim::InstrKind kind, int vl,
                 double cycles) override {
     ++seq_;
-    if (!vectors_only_ || sim::is_vector(kind)) {
+    if (sim::is_vector(kind)) {
       if (records_.size() < capacity_) {
         records_.push_back(TraceRecord{seq_, static_cast<std::int16_t>(phase),
                                        kind, vl,
@@ -44,9 +46,6 @@ class VehaveTrace final : public sim::InstrObserver {
       }
     }
   }
-
-  /// Restrict recording to VPU instructions (Vehave's behaviour). Default on.
-  void set_vectors_only(bool v) { vectors_only_ = v; }
 
   const std::vector<TraceRecord>& records() const { return records_; }
   std::uint64_t dropped() const { return dropped_; }
@@ -66,7 +65,6 @@ class VehaveTrace final : public sim::InstrObserver {
 
  private:
   std::size_t capacity_;
-  bool vectors_only_ = true;
   std::vector<TraceRecord> records_;
   std::uint64_t dropped_ = 0;
   std::uint32_t seq_ = 0;

@@ -20,7 +20,7 @@ struct Counters {
   // A field smuggled past the registry: never aggregated, never emitted.
   std::uint64_t smuggled = 0;  // EXPECT-FINDING(counter-registry)
 
-  template <class Fn>
+  template <class Fn>  // vecfd-lint: allow(dead-symbol) fixture: no caller
   void visit(Fn&& fn) const {
     VECFD_COUNTERS(VECFD_COUNTER_VISIT)
   }

@@ -1,4 +1,4 @@
-// vecfd::fem — golden scalar Navier–Stokes element assembly.
+// Test oracle: golden scalar Navier–Stokes element assembly.
 //
 // This is the correctness oracle for every mini-app variant: a plain,
 // unvectorized, simulator-free implementation of exactly the computation
@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "fem/element.h"
+#include "fem/element_geometry.h"
 #include "fem/mesh.h"
 #include "fem/scheme.h"
 #include "fem/shape.h"
@@ -38,22 +39,6 @@ struct ElementSystem {
   double block_at(int a, int b) const { return block[a * kNodes + b]; }
 };
 
-/// Per-element geometry at the Gauss points: Cartesian shape derivatives
-/// and weighted Jacobian determinants (the phase-3 output).  Shared by the
-/// reference assembly and the projection operators (fem/projection.h) so
-/// every operator sees bit-identical element geometry.
-struct ElementGeometry {
-  /// gpcar[g][d][a] = ∂N_a/∂x_d at Gauss point g.
-  double gpcar[kGauss][kDim][kNodes];
-  /// gpvol[g] = w_g·det J at Gauss point g.
-  double gpvol[kGauss];
-};
-
-/// Evaluate the geometry pipeline (gather coords → Jacobian → cofactor
-/// inverse → gpcar/gpvol) for element @p elem.
-void element_geometry(const Mesh& mesh, const ShapeTable& shape, int elem,
-                      ElementGeometry& out);
-
 /// Assemble one element.  @p elem must be a valid element id.
 void assemble_element(const Mesh& mesh, const State& state,
                       const ShapeTable& shape, int elem, Scheme scheme,
@@ -70,9 +55,5 @@ struct GlobalSystem {
 /// chunked mini-app also uses, so floating-point accumulation matches).
 GlobalSystem assemble_global(const Mesh& mesh, const State& state,
                              const ShapeTable& shape, Scheme scheme);
-
-/// The per-element ρ/Δt factor including the material adjustment performed
-/// by phase-1 "work A" (shared here so reference and mini-app agree).
-double element_dt_factor(const Physics& phys, std::int32_t material);
 
 }  // namespace vecfd::fem

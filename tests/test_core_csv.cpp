@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
 #include "core/csv.h"
 
@@ -146,9 +147,12 @@ TEST(Csv, WriteCsvEmitsAllRows) {
   Fixture f;
   const Experiment ex(f.mesh, f.state);
   vecfd::miniapp::MiniAppConfig cfg;
-  const int sizes[] = {8, 16};
-  const auto ms =
-      ex.sweep_vector_sizes(vecfd::platforms::riscv_vec(), cfg, sizes);
+  std::vector<vecfd::core::SweepPoint> points;
+  for (int vs : {8, 16}) {
+    cfg.vector_size = vs;
+    points.push_back({vecfd::platforms::riscv_vec(), cfg});
+  }
+  const auto ms = ex.run_points(points);
   std::ostringstream os;
   vecfd::core::write_csv(os, ms);
   int lines = 0;

@@ -72,13 +72,13 @@ TEST(FaultPlan, LookupsAreByPoint) {
   EXPECT_TRUE(plan.worker_death(0));
   EXPECT_FALSE(plan.worker_death(1));
   const sim::FaultSpec s1 = plan.spec_for(1);
-  EXPECT_TRUE(s1.armed());
+  EXPECT_NE(s1.kind, FaultKind::kNone);
   EXPECT_TRUE(s1.fires(FaultKind::kSolverBreakdown, 2));
   EXPECT_FALSE(s1.fires(FaultKind::kSolverBreakdown, 1));
   EXPECT_FALSE(s1.fires(FaultKind::kNanRhs, 2));
   // worker-death is not an in-run fault: spec_for(0) stays disarmed.
-  EXPECT_FALSE(plan.spec_for(0).armed());
-  EXPECT_FALSE(plan.spec_for(7).armed());
+  EXPECT_EQ(plan.spec_for(0).kind, FaultKind::kNone);
+  EXPECT_EQ(plan.spec_for(7).kind, FaultKind::kNone);
 }
 
 TEST(FaultPlan, RejectsMalformedSpecsByName) {

@@ -6,7 +6,7 @@
 #include <cmath>
 #include <numeric>
 
-#include "fem/reference_assembly.h"
+#include "support/reference_assembly.h"
 
 namespace {
 

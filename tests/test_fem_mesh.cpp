@@ -7,10 +7,12 @@
 #include "fem/mesh.h"
 #include "fem/state.h"
 #include "solver/csr.h"
+#include "support/bandwidth.h"
 
 namespace {
 
 using vecfd::fem::kDim;
+using vecfd::fem::kDofs;
 using vecfd::fem::kNodes;
 using vecfd::fem::Mesh;
 using vecfd::fem::MeshConfig;
@@ -150,7 +152,8 @@ TEST(State, OldLevelIsDecayedVelocity) {
   const vecfd::fem::State s(m);
   for (int n = 0; n < s.num_nodes(); ++n) {
     for (int d = 0; d < kDim; ++d) {
-      EXPECT_DOUBLE_EQ(s.velocity_old(n, d), 0.95 * s.velocity(n, d));
+      EXPECT_DOUBLE_EQ(s.unknowns_old()[n * kDofs + d],
+                       0.95 * s.velocity(n, d));
     }
   }
 }
@@ -164,7 +167,7 @@ TEST(State, PushTimeLevelRotates) {
                            7.5);
   s.push_time_level(newv);
   EXPECT_DOUBLE_EQ(s.velocity(3, 1), 7.5);
-  EXPECT_DOUBLE_EQ(s.velocity_old(3, 1), u_before);
+  EXPECT_DOUBLE_EQ(s.unknowns_old()[3 * kDofs + 1], u_before);
   EXPECT_DOUBLE_EQ(s.pressure(3), p_before);  // pressure carried over
   EXPECT_THROW(s.push_time_level(std::vector<double>{1.0}),
                std::invalid_argument);

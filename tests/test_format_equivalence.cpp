@@ -27,6 +27,7 @@
 #include "sim/vpu.h"
 #include "solver/krylov.h"
 #include "solver/vkernels.h"
+#include "support/bandwidth.h"
 
 namespace {
 

@@ -84,6 +84,7 @@
 #include "solver/sharding.h"
 #include "solver/vkernels.h"
 #include "sanitizer_support.h"
+#include "support/host_bicgstab.h"
 
 namespace {
 
@@ -272,7 +273,7 @@ std::string generate_bicgstab_counters_csv() {
       {"budget", &a, &b, 1, {.max_iterations = 3, .precond = {}}},
       {"failure", &a_zero_diag, &b, 1, {}},
       {"breakdown", &a_breakdown, &b_breakdown, 1,
-       {.jacobi_precondition = false, .precond = {}}},
+       {.precond = {.kind = solver::PrecondKind::kNone}}},
       {"block3", &a, &b3, 3, {}},
   };
 
@@ -378,8 +379,8 @@ std::string generate_cg_counters_csv() {
     }
     cases.push_back({solver::to_string(kind), &a, &b, o});
   }
-  cases.push_back({"none", &a, &b, {.jacobi_precondition = false,
-                                    .precond = {}}});
+  cases.push_back(
+      {"none", &a, &b, {.precond = {.kind = solver::PrecondKind::kNone}}});
   cases.push_back({"budget", &a, &b, {.max_iterations = 3, .precond = {}}});
   cases.push_back({"zero-diagonal", &a_zero_diag, &b, {}});
   cases.push_back({"breakdown", &a, &b,

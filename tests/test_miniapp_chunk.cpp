@@ -62,23 +62,13 @@ TEST(Chunk, ConstructionValidation) {
 TEST(Chunk, MatrixArraysOnlyWhenRequested) {
   ElementChunk without(8, false);
   ElementChunk with(8, true);
-  EXPECT_LT(without.footprint_bytes(), with.footprint_bytes());
-  // the semi-implicit extras: mass + block, each kNodes² · vs doubles
-  const std::size_t extra =
-      2u * kNodes * kNodes * 8u * sizeof(double);
-  EXPECT_EQ(with.footprint_bytes() - without.footprint_bytes(), extra);
-}
-
-TEST(Chunk, FootprintScalesWithVectorSize) {
-  // the Figure 9 / Table 6 mechanism: working set ∝ VECTOR_SIZE
-  ElementChunk small(16, false);
-  ElementChunk big(256, false);
-  EXPECT_NEAR(double(big.footprint_bytes()) / small.footprint_bytes(), 16.0,
-              0.01);
-  // per-element footprint is a few KB (order: ~700 doubles)
-  const double per_elem = double(big.footprint_bytes()) / 256;
-  EXPECT_GT(per_elem, 2000.0);
-  EXPECT_LT(per_elem, 10000.0);
+  EXPECT_FALSE(without.with_matrix());
+  EXPECT_TRUE(with.with_matrix());
+  // the semi-implicit extras span every (a, b) plane of the chunk
+  with.mass(kNodes - 1, kNodes - 1)[7] = 1.0;
+  with.block(kNodes - 1, kNodes - 1)[7] = 2.0;
+  EXPECT_EQ(with.mass(kNodes - 1, kNodes - 1)[7], 1.0);
+  EXPECT_EQ(with.block(kNodes - 1, kNodes - 1)[7], 2.0);
 }
 
 TEST(Chunk, DistinctPlanesDoNotAlias) {

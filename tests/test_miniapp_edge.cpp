@@ -5,9 +5,9 @@
 
 #include <cmath>
 
-#include "fem/reference_assembly.h"
 #include "miniapp/driver.h"
 #include "platforms/platforms.h"
+#include "support/reference_assembly.h"
 
 namespace {
 

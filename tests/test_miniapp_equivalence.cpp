@@ -7,9 +7,9 @@
 #include <cmath>
 #include <tuple>
 
-#include "fem/reference_assembly.h"
 #include "miniapp/driver.h"
 #include "platforms/platforms.h"
+#include "support/reference_assembly.h"
 
 namespace {
 

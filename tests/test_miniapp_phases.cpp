@@ -6,10 +6,10 @@
 
 #include <cmath>
 
-#include "fem/reference_assembly.h"
 #include "miniapp/chunk.h"
 #include "miniapp/phases.h"
 #include "platforms/platforms.h"
+#include "support/reference_assembly.h"
 
 namespace {
 
@@ -110,7 +110,7 @@ TEST(Phases, Phase2GathersUnknownsBothLevels) {
                            h.state.velocity(ln[a], d))
               << to_string(opt);
           EXPECT_DOUBLE_EQ(h.chunk.elvel_old(d, a)[iv],
-                           h.state.velocity_old(ln[a], d));
+                           h.state.unknowns_old()[ln[a] * kDofs + d]);
         }
         EXPECT_DOUBLE_EQ(h.chunk.elpre(a)[iv], h.state.pressure(ln[a]));
       }

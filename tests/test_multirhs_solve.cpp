@@ -16,6 +16,7 @@
 #include "scenario_support.h"
 #include "solver/krylov.h"
 #include "solver/vkernels.h"
+#include "support/host_bicgstab.h"
 
 namespace {
 
@@ -303,7 +304,7 @@ TEST(MultiRhsSolvers, PerColumnBreakdownLifecycleMatchesStandalone) {
   a.add(1, 1, -1.0);
   const SolveOptions opts{.max_iterations = 50,
                           .rel_tolerance = 1e-10,
-                          .jacobi_precondition = false, .precond = {}};
+                          .precond = {.kind = solver::PrecondKind::kNone}};
   const std::vector<double> B{1.0, 1.0, 1.0, 0.0};  // cols (1,1) and (1,0)
 
   for (const auto& m : kMachines) {

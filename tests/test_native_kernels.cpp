@@ -131,9 +131,4 @@ TEST(NativeKernels, ConvBlockMatchesNaive) {
   }
 }
 
-TEST(NativeKernels, ChecksumIsPlainSum) {
-  std::vector<double> v{1.0, 2.0, 3.5};
-  EXPECT_DOUBLE_EQ(native::checksum(v.data(), v.size()), 6.5);
-}
-
 }  // namespace

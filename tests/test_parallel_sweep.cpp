@@ -101,27 +101,28 @@ TEST(ParallelSweep, RunPointsPreservesPointOrder) {
   }
 }
 
-TEST(ParallelSweep, SizeAndLevelSweepsMatchSingleRuns) {
+TEST(ParallelSweep, FannedOutPointsMatchSingleRuns) {
   VECFD_SKIP_UNDER_ASAN();
   Fixture& f = fixture();
   const Experiment ex(f.mesh, f.state);
-  MiniAppConfig cfg;
-  const auto by_size = ex.sweep_vector_sizes(riscv_vec(), cfg, kSizes, 4);
-  ASSERT_EQ(by_size.size(), std::size(kSizes));
-  for (std::size_t i = 0; i < by_size.size(); ++i) {
-    cfg.vector_size = kSizes[i];
-    EXPECT_DOUBLE_EQ(by_size[i].total_cycles,
-                     ex.run(riscv_vec(), cfg).total_cycles);
+  // every size at the default level, then every level at size 16
+  std::vector<SweepPoint> points;
+  for (int vs : kSizes) {
+    MiniAppConfig cfg;
+    cfg.vector_size = vs;
+    points.push_back({riscv_vec(), cfg});
   }
-
-  cfg.vector_size = 16;
-  const auto by_level =
-      ex.sweep_opt_levels(riscv_vec(), cfg, vecfd::core::kAllOptLevels, 4);
-  ASSERT_EQ(by_level.size(), std::size(vecfd::core::kAllOptLevels));
-  for (std::size_t i = 0; i < by_level.size(); ++i) {
-    cfg.opt = vecfd::core::kAllOptLevels[i];
-    EXPECT_DOUBLE_EQ(by_level[i].total_cycles,
-                     ex.run(riscv_vec(), cfg).total_cycles);
+  for (OptLevel o : vecfd::core::kAllOptLevels) {
+    MiniAppConfig cfg;
+    cfg.vector_size = 16;
+    cfg.opt = o;
+    points.push_back({riscv_vec(), cfg});
+  }
+  const auto ms = ex.run_points(points, 4);
+  ASSERT_EQ(ms.size(), points.size());
+  for (std::size_t i = 0; i < ms.size(); ++i) {
+    EXPECT_DOUBLE_EQ(ms[i].total_cycles,
+                     ex.run(points[i].machine, points[i].app).total_cycles);
   }
 }
 

@@ -37,6 +37,7 @@
 #include "solver/krylov.h"
 #include "solver/preconditioner.h"
 #include "solver/vkernels.h"
+#include "support/host_bicgstab.h"
 
 namespace {
 

@@ -16,6 +16,7 @@
 #include "platforms/platforms.h"
 #include "solver/krylov.h"
 #include "solver/vkernels.h"
+#include "support/host_bicgstab.h"
 
 namespace {
 

@@ -13,6 +13,7 @@ namespace {
 
 using vecfd::platforms::riscv_vec;
 using vecfd::sim::MachineConfig;
+using vecfd::sim::TimingModel;
 using vecfd::sim::Vec;
 using vecfd::sim::Vpu;
 
@@ -66,7 +67,7 @@ TEST(VpuMem, ShortUnitLoadsExposeMoreMissLatencyThanLongOnes) {
     Vpu v{m};
     v.set_vl(vl);
     (void)v.vload(a.data());  // cold: every line misses
-    const double base = v.timing().vmem_unit_cycles(vl);
+    const double base = TimingModel(m).vmem_unit_cycles(vl);
     const double total = v.counters().vector_cycles;
     const double penalty = total - base;
     return penalty / double(v.counters().l1_misses);
@@ -82,7 +83,7 @@ TEST(VpuMem, StridedStoreExposesMostMissLatency) {
   std::vector<double> dst(64 * 64, 0.0);
   v.set_vl(8);
   const Vec x = v.vsplat(1.0);
-  const double base = v.timing().vmem_strided_cycles(8);
+  const double base = TimingModel(m).vmem_strided_cycles(8);
   const double before = v.counters().vector_cycles;
   v.vstore_strided(dst.data(), 64, x);  // 8 distinct lines, all cold
   const double penalty = v.counters().vector_cycles - before - base;
@@ -132,8 +133,13 @@ TEST(VpuMem, FoldedIndexSpreadsPageAlignedBuffers) {
   for (int i = 0; i < 64; ++i) {
     c.access(static_cast<std::uintptr_t>(i) * 512 * 64);
   }
-  // with 2-way sets and modulo mapping only 2 would survive
-  EXPECT_GE(c.resident_lines(), 32u);
+  // a second pass hits every line that stayed resident; with 2-way sets
+  // and modulo mapping the LRU pair would thrash and nothing would hit
+  const std::uint64_t first_pass_misses = c.misses();
+  for (int i = 0; i < 64; ++i) {
+    c.access(static_cast<std::uintptr_t>(i) * 512 * 64);
+  }
+  EXPECT_LE(c.misses() - first_pass_misses, 32u);
 }
 
 TEST(VpuMem, TraceObserverSeesMemoryOps) {

@@ -7,12 +7,14 @@
 
 #include "solver/csr.h"
 #include "solver/krylov.h"
+#include "support/host_bicgstab.h"
 
 namespace {
 
 using vecfd::solver::bicgstab;
 using vecfd::solver::cg;
 using vecfd::solver::CsrMatrix;
+using vecfd::solver::PrecondKind;
 using vecfd::solver::SolveOptions;
 
 /// 1-D Poisson matrix (tridiagonal 2,-1) of size n.
@@ -146,8 +148,7 @@ TEST(Cg, WithoutPreconditionerStillConverges) {
   std::vector<double> x(32, 0.0);
   const auto rep = cg(a, b, x, {.max_iterations = 200,
                                 .rel_tolerance = 1e-10,
-                                .jacobi_precondition = false,
-                                .precond = {}});
+                                .precond = {.kind = PrecondKind::kNone}});
   EXPECT_TRUE(rep.converged);
 }
 
@@ -243,7 +244,7 @@ TEST(Bicgstab, R0vBreakdownReportsTruthfulResidual) {
   std::vector<double> x(2, 0.0);
   // unpreconditioned: v = A·r = [1, -1] ⟂ r0 = [1, 1] → r0·v == 0
   const auto rep =
-      bicgstab(a, b, x, {.jacobi_precondition = false, .precond = {}});
+      bicgstab(a, b, x, {.precond = {.kind = PrecondKind::kNone}});
   EXPECT_FALSE(rep.converged);
   EXPECT_NEAR(rep.residual, 1.0, 1e-14);
   ASSERT_FALSE(rep.history.empty());
@@ -257,7 +258,7 @@ TEST(Bicgstab, SingularOperatorBreakdownReportsTruthfulResidual) {
   std::vector<double> b{3.0, 4.0};
   std::vector<double> x(2, 0.0);
   const auto rep =
-      bicgstab(a, b, x, {.jacobi_precondition = false, .precond = {}});
+      bicgstab(a, b, x, {.precond = {.kind = PrecondKind::kNone}});
   EXPECT_FALSE(rep.converged);
   EXPECT_NEAR(rep.residual, 1.0, 1e-14);
 }

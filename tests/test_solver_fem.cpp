@@ -4,8 +4,9 @@
 
 #include <cmath>
 
-#include "fem/reference_assembly.h"
 #include "solver/krylov.h"
+#include "support/host_bicgstab.h"
+#include "support/reference_assembly.h"
 
 namespace {
 
@@ -58,11 +59,11 @@ TEST(SolverFem, JacobiPreconditioningReducesIterations) {
   const auto plain = solver::bicgstab(
       s.sys.matrix, b, x1,
       {.max_iterations = 2000, .rel_tolerance = 1e-10,
-       .jacobi_precondition = false, .precond = {}});
+       .precond = {.kind = solver::PrecondKind::kNone}});
   const auto precond = solver::bicgstab(
       s.sys.matrix, b, x2,
       {.max_iterations = 2000, .rel_tolerance = 1e-10,
-       .jacobi_precondition = true, .precond = {}});
+       .precond = {}});
   ASSERT_TRUE(plain.converged);
   ASSERT_TRUE(precond.converged);
   EXPECT_LE(precond.iterations, plain.iterations);

@@ -10,11 +10,12 @@
 #include <string>
 #include <vector>
 
-#include "fem/reference_assembly.h"
 #include "metrics/metrics.h"
 #include "platforms/platforms.h"
 #include "solver/krylov.h"
 #include "solver/vkernels.h"
+#include "support/host_bicgstab.h"
+#include "support/reference_assembly.h"
 
 namespace {
 
@@ -248,7 +249,7 @@ TEST(Vkernels, ScalarMachineFallbackComputesIdenticalValues) {
 
   // a scalar-only machine must not execute a single vector instruction
   EXPECT_EQ(vpu.counters().vector_instrs(), 0u);
-  EXPECT_GT(vpu.counters().scalar_instrs(), 0u);
+  EXPECT_GT(vpu.counters().total_instrs(), 0u);
 }
 
 TEST(Vkernels, BreakdownContractMatchesHost) {

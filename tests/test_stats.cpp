@@ -10,7 +10,6 @@ namespace {
 
 using vecfd::stats::mean;
 using vecfd::stats::ols_fit;
-using vecfd::stats::pearson;
 using vecfd::stats::variance;
 
 TEST(Ols, RecoversExactLinearModel) {
@@ -96,15 +95,6 @@ TEST(Summary, MeanVariance) {
   EXPECT_DOUBLE_EQ(mean(v), 5.0);
   EXPECT_DOUBLE_EQ(variance(v), 4.0);
   EXPECT_DOUBLE_EQ(mean(std::vector<double>{}), 0.0);
-}
-
-TEST(Summary, PearsonPerfectAndInverse) {
-  std::vector<double> a{1, 2, 3, 4};
-  std::vector<double> b{2, 4, 6, 8};
-  std::vector<double> c{8, 6, 4, 2};
-  EXPECT_NEAR(pearson(a, b), 1.0, 1e-12);
-  EXPECT_NEAR(pearson(a, c), -1.0, 1e-12);
-  EXPECT_THROW(pearson(a, std::vector<double>{1.0}), std::invalid_argument);
 }
 
 }  // namespace

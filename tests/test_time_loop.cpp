@@ -226,8 +226,8 @@ TEST(Scenarios, LibraryIsWellFormed) {
     EXPECT_TRUE(static_cast<bool>(s.velocity_bc)) << s.name;
     EXPECT_TRUE(static_cast<bool>(s.pressure_pins)) << s.name;
   }
-  EXPECT_FALSE(all[0].has_analytic());
-  EXPECT_TRUE(all[2].has_analytic());
+  EXPECT_FALSE(static_cast<bool>(all[0].analytic));
+  EXPECT_TRUE(static_cast<bool>(all[2].analytic));
   EXPECT_THROW(miniapp::scenario_by_name("bogus"), std::invalid_argument);
 
   // Taylor–Green's analytic field is discretely consistent with its own

@@ -40,6 +40,12 @@ one fences):
                         only) and no std::unordered_map/set in the
                         CSV/report output layer — the two hazards that
                         break the byte-identical serial/parallel guarantee
+  dead-symbol           every function declared in src/**/*.h is named by
+                        a shipped program (src/ tools/ bench/ vecfd_bench/
+                        examples/) beyond its own declarations and
+                        definitions — code only the tests call is deleted,
+                        or lives in tests/support/ when it is an oracle;
+                        conservative by name, so it never flags live code
 
 The checkpoint field list needs no rule: serialize_state() and
 deserialize_state() bind every TimeLoopCheckpoint field by name, so the
@@ -56,7 +62,8 @@ Usage:
   vecfd_lint.py --self-test          # run the fixture suite
   vecfd_lint.py --list-rules
 
-With no PATHs, scans src/ tools/ bench/ under the repo root.  Exit codes
+With no PATHs, scans src/ tools/ bench/ tests/support/ under the repo
+root (the repo-level rules always read their own fixed files).  Exit codes
 follow the vecfd-run contract: 0 clean, 1 findings, 2 usage/internal error.
 
 Suppressions (every suppression carries a justification):
@@ -993,6 +1000,183 @@ def rule_determinism_audit(src: SourceFile, funcs: list) -> list:
     return findings
 
 
+# The shipped programs: a function declared in src/**/*.h must be named
+# somewhere in these trees beyond its own declarations and definitions.
+_SHIPPED_DIRS = ("src", "tools", "bench", "vecfd_bench", "examples")
+
+# Brace heads that open a scope whose members are declarations; every other
+# brace (function body, initializer, enum) is blanked by _scope_level.
+_SCOPE_HEAD_RE = re.compile(
+    r"\s*(?:(?:public|private|protected)\s*:\s*)*"
+    r"(?:template\s*<[^;{}]*>\s*)?"
+    r"(?:inline\s+)?(?:namespace|class|struct|union)\b"
+    r"|\s*extern\s*\""
+)
+_CALL_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\(")
+_IDENT_RE = re.compile(r"\b[A-Za-z_]\w*\b")
+_CLASS_NAME_RE = re.compile(r"\b(?:class|struct|union)\s+([A-Za-z_]\w*)")
+# Names followed by '(' that are never a declared function, and words that
+# make the following name a use (return f(...)) or not a function name
+# (operator bool()).
+_NOT_FUNCTION_NAMES = _CONTROL_KEYWORDS | {
+    "alignas", "noexcept", "requires", "operator", "explicit", "void",
+    "bool", "char", "int", "long", "short", "float", "double", "unsigned",
+    "signed", "auto", "const", "volatile", "typename", "template", "using",
+    "typedef",
+}
+_USE_PREFIX_WORDS = {
+    "return", "new", "delete", "throw", "else", "case", "co_return",
+    "co_yield", "operator", "sizeof", "decltype", "goto",
+}
+_SPEC_RE = re.compile(
+    r"\s*(?:const|volatile|noexcept(?:\s*\([^()]*\))?|override|final|&&|&"
+    r"|VECFD_\w+(?:\s*\([^()]*\))?)"
+)
+
+
+def _scope_level(stripped: str) -> str:
+    """@p stripped with preprocessor lines and the contents of every
+    non-scope brace pair blanked (braces and layout kept): what remains is
+    namespace- and class-level text, where every `name(` with a type before
+    it is a function declaration or definition head."""
+    text = re.sub(
+        r"^[ \t]*#(?:[^\n]*\\\n)*[^\n]*",
+        lambda m: re.sub(r"[^\n]", " ", m.group(0)),
+        stripped,
+        flags=re.M,
+    )
+    out = list(text)
+    masked = 0  # brace depth inside a blanked body
+    seg = 0  # start of the current declaration head
+    for i, ch in enumerate(text):
+        if masked:
+            if ch == "{":
+                masked += 1
+            elif ch == "}":
+                masked -= 1
+                if masked == 0:
+                    seg = i + 1
+                    continue
+            if ch != "\n":
+                out[i] = " "
+        elif ch == "{":
+            if _SCOPE_HEAD_RE.match(text, seg, i):
+                seg = i + 1
+            else:
+                masked = 1
+        elif ch in ";}":
+            seg = i + 1
+    return "".join(out)
+
+
+def _function_heads(scope: str) -> list:
+    """(name, offset) of every function declaration/definition head in the
+    scope-level text @p scope.  Deleted and defaulted functions, operators,
+    destructors and macro-like ALL_CAPS names are left out."""
+    heads = []
+    for m in _CALL_RE.finditer(scope):
+        name = m.group(1)
+        if (
+            name in _NOT_FUNCTION_NAMES
+            or name.startswith("__")
+            or name.upper() == name
+        ):
+            continue
+        # What precedes the (possibly qualified) name must end a type.
+        j = m.start(1)
+        while True:
+            k = j
+            while k > 0 and scope[k - 1] in " \t\n":
+                k -= 1
+            if scope[k - 2 : k] != "::":
+                break
+            k -= 2
+            while k > 0 and scope[k - 1] in " \t\n":
+                k -= 1
+            q = re.search(r"[A-Za-z_]\w*\s*(?:<[^;{}()]*>)?\s*$", scope[:k])
+            if not q:
+                break
+            j = q.start()
+        prev = scope[k - 1] if k > 0 else ""
+        if not (prev.isalnum() or prev in "_&*>]"):
+            continue
+        word = re.search(r"([A-Za-z_]\w*)\s*$", scope[:k])
+        if word and word.group(1) in _USE_PREFIX_WORDS:
+            continue
+        # After the parameter list: specifiers, then ; { = : or ->.
+        end = match_parens(scope, m.end() - 1)
+        spec = _SPEC_RE.match(scope, end)
+        while spec and spec.end() > end:
+            end = spec.end()
+            spec = _SPEC_RE.match(scope, end)
+        rest = scope[end:].lstrip()
+        if not rest or rest[0] not in ";{=:-":
+            continue
+        if re.match(r"=\s*(?:delete|default)\b", rest):
+            continue
+        if rest[0] == "-" and not rest.startswith("->"):
+            continue
+        heads.append((name, m.start(1)))
+    return heads
+
+
+@rule(
+    "dead-symbol",
+    "a function declared in src/**/*.h must be named somewhere in the "
+    "shipped programs (src/, tools/, bench/, vecfd_bench/, examples/) "
+    "besides its own declarations and definitions — code only the tests "
+    "call is deleted, or moved to tests/support/ when it is a test oracle.  "
+    "Conservative by name: a use of any overload or any same-named member "
+    "counts, so it can miss dead code but never flags live code.  A "
+    "function may stay only with `// vecfd-lint: allow(dead-symbol) why`",
+)
+def rule_dead_symbol(repo_root: str) -> list:
+    uses = {}  # name -> token count minus head count, over shipped files
+    declared = []  # (SourceFile, name, line) of each src/**/*.h head
+    class_names = set()
+    for top in _SHIPPED_DIRS:
+        base = os.path.join(repo_root, top)
+        for dirpath, dirnames, filenames in os.walk(base):
+            dirnames.sort()
+            for fname in sorted(filenames):
+                if not fname.endswith(_SCAN_EXTS):
+                    continue
+                rel = os.path.relpath(
+                    os.path.join(dirpath, fname), repo_root
+                ).replace(os.sep, "/")
+                src = _load_stripped(repo_root, rel)
+                for tok in _IDENT_RE.findall(src.stripped):
+                    uses[tok] = uses.get(tok, 0) + 1
+                class_names.update(_CLASS_NAME_RE.findall(src.stripped))
+                seen = set()
+                for name, off in _function_heads(_scope_level(src.stripped)):
+                    uses[name] -= 1
+                    if (
+                        rel.startswith("src/")
+                        and rel.endswith(".h")
+                        and name not in seen
+                    ):
+                        seen.add(name)
+                        declared.append(
+                            (src, name, line_of(src.stripped, off))
+                        )
+    findings = []
+    for src, name, line in declared:
+        if uses[name] > 0 or name in class_names:
+            continue  # named elsewhere, or a constructor
+        f = Finding(
+            src.path, line, "dead-symbol",
+            f"`{name}` is named only by its own declarations and "
+            "definitions in the shipped programs (src/ tools/ bench/ "
+            "vecfd_bench/ examples/); delete it, move a test oracle to "
+            "tests/support/, or justify it with "
+            "`// vecfd-lint: allow(dead-symbol) <reason>`",
+        )
+        if not inline_suppressed(src, f):
+            findings.append(f)
+    return findings
+
+
 # --------------------------------------------------------------------------
 # driver
 # --------------------------------------------------------------------------
@@ -1011,6 +1195,7 @@ _FILE_RULES = [
 # real one, or a mini-root fixture dir under tests/lint/).
 _REPO_RULES = [
     rule_counter_registry,
+    rule_dead_symbol,
 ]
 
 
@@ -1160,7 +1345,10 @@ def main(argv=None) -> int:
         prog="vecfd-lint", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    ap.add_argument("paths", nargs="*", help="files/dirs (default: src tools bench)")
+    ap.add_argument(
+        "paths", nargs="*",
+        help="files/dirs (default: src tools bench tests/support)",
+    )
     ap.add_argument("--repo-root", default=".", help="repository root")
     ap.add_argument(
         "--engine", choices=("auto", "lex", "libclang"), default="auto",
@@ -1186,7 +1374,7 @@ def main(argv=None) -> int:
     if args.self_test:
         return self_test(repo_root, args.engine)
 
-    paths = args.paths or ["src", "tools", "bench"]
+    paths = args.paths or ["src", "tools", "bench", "tests/support"]
     suppressions = SuppressionFile.load(
         os.path.join(repo_root, ".vecfd-lint-suppressions")
     )
